@@ -314,12 +314,13 @@ def n_representative_sum(f: BrooksSum, n: int, alphabet: Alphabet) -> BrooksSum:
     """Key-by-key n-representative of a sum whose only b-power key is b."""
     if f.mode is not Mode.BROOKS:
         raise ValueError("representatives are defined for Brooks sums")
-    total = brooks_sum({})
+    entries: dict[Word, Fraction] = {}
     for v, c in f.weight.items():
         if tau(v) is None and len(v) >= 2:
             raise ValueError("eliminate b-powers before taking representatives")
-        total = total + n_representative(v, n, alphabet).scale(c)
-    return total
+        for u, cu in n_representative(v, n, alphabet).weight.items():
+            entries[u] = entries.get(u, Fraction(0)) + c * cu
+    return brooks_sum(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,15 @@ from typing import Any, Callable, Optional
 from .action import NielsenWord, act, n_representative_sum, wstar_n
 from .counting import (
     BrooksSum,
-    Mode,
     as_counting,
+    canonicalize,
     certified_reduced_length,
     count_subword,
-    count_term,
     counting_sum,
     evaluate,
     format_sum,
     is_unbalanced,
     norm,
-    phi,
-    zero,
 )
 from .fixpoints import EvidenceKind, exclude_fixpoint
 from .freegroup import (
@@ -93,22 +90,23 @@ class _ExprParser:
                 self.fail(f"expected '+' or '-', found {ch!r}")
             sign, self.i = (1 if ch == "+" else -1), self.i + 1
 
-        brooks = zero(Mode.BROOKS)
-        counting = zero(Mode.COUNTING)
-        mixed = False
+        # Raw weights, summed term by term; canonicalize re-orients and
+        # merges the phi keys once.  A # key stays even at weight 0, so any
+        # # term switches the result to counting mode.
+        brooks: dict[Word, Fraction] = {}
+        counting: dict[Word, Fraction] = {}
         for coef, kind, word in terms:
-            if kind == "phi":
-                assert word is not None
-                brooks = brooks + phi(word).scale(coef)
-            elif kind == "rot":
-                brooks = brooks + rot(self.alphabet).scale(coef)
+            if kind == "rot":
+                for v, c in rot(self.alphabet).weight.items():
+                    brooks[v] = brooks.get(v, Fraction(0)) + coef * c
             else:
                 assert word is not None
-                mixed = True
-                counting = counting + count_term(word).scale(coef)
-        if mixed:
-            return counting + as_counting(brooks)
-        return brooks
+                into = brooks if kind == "phi" else counting
+                into[word] = into.get(word, Fraction(0)) + coef
+        f = canonicalize(brooks)
+        if counting:
+            return counting_sum(counting) + as_counting(f)
+        return f
 
     def _term(self) -> tuple[Fraction, str, Optional[Word]]:
         self._ws()
@@ -345,12 +343,12 @@ def _suite_norm(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
     flag, _ = is_unbalanced(f, alphabet)
     if norm(f) != 2 or not flag:
         return False, "5#aa-3#ab+#b should be unbalanced of norm 2"
-    g = counting_sum(
-        {w("a"): 1, w("b'"): 4, w("ab"): 5, w("a'b"): -2, w("ba"): -2, w("bb"): 1, w("b'a"): 1}
-    )
+    # Balanced at every rank: a left brother y x of a top key x x carries
+    # weight 0, but its right brother y y does not.
+    g = counting_sum({(x, x): i + 1 for i, x in enumerate(alphabet.letters())})
     flag, witness = is_unbalanced(g, alphabet)
     if flag:
-        return False, "the seven-term example should be balanced"
+        return False, "the sum of i*#(xx) over the letters x should be balanced"
     return True, "unbalanced and balanced examples check out"
 
 

@@ -15,6 +15,9 @@ r/l pair anchored at a base word u; the step on Brooks sums
 and its exponent-shifting variants are exact identities of counting sums, so
 a trace of (kind, base, coefficient) entries certifies
 input - output = traced combination, symbolically and with zero tolerance.
+The check is one pass over the trace into a single integer accumulator,
+every coefficient scaled by the lcm of all denominators involved: it costs
+O(steps x 2 rank) integer operations and stays an exact zero test.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Iterable, Optional
 
 from .counting import BrooksSum, Mode, as_counting, brooks_sum, counting_sum
 from .freegroup import (
@@ -33,6 +37,7 @@ from .freegroup import (
     b_form,
     b_power,
     inverse,
+    is_reduced,
     is_truncated,
     kind_of,
     tau,
@@ -45,22 +50,35 @@ class RelationKind(Enum):
     RIGHT = "RIGHT"
 
 
-def extension_relation(kind: RelationKind, w: Word, alphabet: Alphabet) -> BrooksSum:
-    """The relation l_w or r_w as a COUNTING-mode sum."""
+def _extensions(kind: RelationKind, w: Word, letters: list[int]) -> list[Word]:
+    """The words s·w (LEFT) or w·s (RIGHT), s in letters, that l_w or r_w
+    subtracts from #w."""
     if not w:
         raise ValueError("no extension relation at the identity")
-    entries: dict[Word, Fraction] = {w: Fraction(1)}
+    if not is_reduced(w):
+        raise ValueError(f"relation base {w!r} is not reduced")
     if kind is RelationKind.LEFT:
-        for s in alphabet.letters():
-            if s != -w[0]:
-                u = (s,) + w
-                entries[u] = entries.get(u, Fraction(0)) - 1
-    else:
-        for s in alphabet.letters():
-            if s != -w[-1]:
-                u = w + (s,)
-                entries[u] = entries.get(u, Fraction(0)) - 1
+        return [(s,) + w for s in letters if s != -w[0]]
+    return [w + (s,) for s in letters if s != -w[-1]]
+
+
+def extension_relation(kind: RelationKind, w: Word, alphabet: Alphabet) -> BrooksSum:
+    """The relation l_w or r_w as a COUNTING-mode sum."""
+    entries: dict[Word, int] = {w: 1}
+    for u in _extensions(kind, w, alphabet.letters()):
+        entries[u] = -1
     return counting_sum(entries)
+
+
+def _denominator(coefficients: Iterable[Fraction]) -> int:
+    """The lcm of the denominators: scaled by it, every coefficient is an integer."""
+    return lcm(*{c.denominator for c in coefficients})
+
+
+def _scaled_into(acc: dict[Word, int], weight: dict[Word, Fraction], den: int, sign: int) -> None:
+    """acc += sign * den * weight, in integers."""
+    for v, c in weight.items():
+        acc[v] = acc.get(v, 0) + sign * c.numerator * (den // c.denominator)
 
 
 @dataclass(frozen=True)
@@ -77,19 +95,40 @@ class RewriteTrace:
     def __add__(self, other: "RewriteTrace") -> "RewriteTrace":
         return RewriteTrace(self.steps + other.steps)
 
+    def _add_combination(self, acc: dict[Word, int], den: int, alphabet: Alphabet) -> None:
+        """acc += den * (traced combination), one relation at a time."""
+        letters = alphabet.letters()
+        for step in self.steps:
+            c = step.coefficient
+            n = c.numerator * (den // c.denominator)
+            acc[step.base] = acc.get(step.base, 0) + n
+            for u in _extensions(step.kind, step.base, letters):
+                acc[u] = acc.get(u, 0) - n
+
     def combination(self, alphabet: Alphabet) -> BrooksSum:
         """The traced sum of relations, as a COUNTING sum."""
-        total = counting_sum({})
-        for step in self.steps:
-            total = total + extension_relation(step.kind, step.base, alphabet).scale(
-                step.coefficient
-            )
-        return total
+        den = _denominator(step.coefficient for step in self.steps)
+        acc: dict[Word, int] = {}
+        self._add_combination(acc, den, alphabet)
+        return counting_sum({v: Fraction(n, den) for v, n in acc.items()})
 
     def certifies(self, before: BrooksSum, after: BrooksSum, alphabet: Alphabet) -> bool:
-        """Exact symbolic check: before - after equals the traced combination."""
-        diff = as_counting(before) - as_counting(after)
-        return (diff - self.combination(alphabet)).is_zero()
+        """Exact symbolic check: before - after equals the traced combination.
+
+        One pass over the trace into a single integer accumulator holding
+        den * (after - before + combination), den the lcm of every
+        denominator in before, after and the steps; the check holds exactly
+        when every entry is zero.  Cost: O(steps x 2 rank) integer operations.
+        """
+        lhs, rhs = as_counting(before).weight, as_counting(after).weight
+        den = _denominator(
+            [*lhs.values(), *rhs.values(), *(step.coefficient for step in self.steps)]
+        )
+        acc: dict[Word, int] = {}
+        _scaled_into(acc, rhs, den, 1)
+        _scaled_into(acc, lhs, den, -1)
+        self._add_combination(acc, den, alphabet)
+        return not any(acc.values())
 
 
 EMPTY_TRACE = RewriteTrace(())

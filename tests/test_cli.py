@@ -229,6 +229,16 @@ def test_verify_all_suites(capsys):
     assert all(": PASS - " in line for line in lines)
 
 
+@pytest.mark.parametrize("rank", ["2", "3", "4"])
+def test_verify_passes_at_ranks_2_to_4(capsys, rank):
+    code, out, _ = run(capsys, "verify", "norm", "--rank", rank)
+    assert code == 0, out
+    # radius 3 keeps the ball scans of the rank-4 suites short
+    code, out, _ = run(capsys, "verify", "all", "--rank", rank, "--radius", "3")
+    assert code == 0, out
+    assert out.count(": PASS - ") == 5
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "norm", "--format", "json")
     assert code == 0

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import as_counting, brooks_sum, evaluate, phi, zero
+from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi, zero
 from qmforge.freegroup import Alphabet, ball, parse_word
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
     RelationKind,
+    RewriteTrace,
     Side,
+    TraceStep,
     eliminate_b_powers,
     extension_relation,
     is_normal_form,
@@ -174,3 +176,87 @@ def test_normal_form_bounds_difference_by_relations():
     sup3 = sup_on_ball(diff, 3, AL).sup
     sup5 = sup_on_ball(diff, 5, AL).sup
     assert sup5 == sup3 or sup5 <= sup3 + 2  # saturates once the ball covers supports
+
+
+# -- certificate checks -------------------------------------------------------------
+
+FRACTIONS = (Fraction(1, 2), Fraction(5, 3), Fraction(1, 6), Fraction(-7, 4), Fraction(3))
+
+
+def _fractional_sums(rank):
+    """Random sums at one rank, each key reweighted by a fraction (1/2, 5/3
+    and 1/6 all occur in one sum), plus a b-power key so that the rewrite
+    leaves a nonempty trace."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(31 + rank)
+    b3 = parse_word("bbb", alphabet)
+    for _ in range(12):
+        f = random_brooks_sum(rng, alphabet, max_keys=4, max_len=4, max_coeff=3)
+        entries = {
+            v: c * FRACTIONS[i % len(FRACTIONS)] for i, (v, c) in enumerate(f.weight.items())
+        }
+        entries[b3] = entries.get(b3, Fraction(0)) + Fraction(1, 6)
+        yield alphabet, brooks_sum(entries)
+    yield alphabet, brooks_sum({
+        parse_word("bbab", alphabet): Fraction(1, 2),
+        parse_word("b'ab'b'", alphabet): Fraction(5, 3),
+        parse_word("bb", alphabet): Fraction(1, 6),
+    })
+
+
+def _reference_certifies(trace, before, after, alphabet):
+    return (as_counting(before) - as_counting(after) - trace.combination(alphabet)).is_zero()
+
+
+def _mutants(trace, rng):
+    """One coefficient perturbed, one step dropped, one step's kind flipped."""
+    steps = trace.steps
+    i = rng.randrange(len(steps))
+    kind, base, c = steps[i].kind, steps[i].base, steps[i].coefficient
+    flipped = RelationKind.LEFT if kind is RelationKind.RIGHT else RelationKind.RIGHT
+    for label, replacement in (
+        ("perturbed", (TraceStep(kind, base, c + Fraction(1, 7)),)),
+        ("dropped", ()),
+        ("flipped", (TraceStep(flipped, base, c),)),
+    ):
+        yield label, RewriteTrace(steps[:i] + replacement + steps[i + 1 :])
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_certifies_agrees_with_reference_and_rejects_tampering(rank):
+    rng = random.Random(37 + rank)
+    for alphabet, f in _fractional_sums(rank):
+        nf, trace = normal_form(f, alphabet)
+        assert trace.steps, f.weight
+        assert trace.certifies(f, nf, alphabet)
+        assert _reference_certifies(trace, f, nf, alphabet)
+        for label, bad in _mutants(trace, rng):
+            assert not bad.certifies(f, nf, alphabet), (label, f.weight)
+            assert not _reference_certifies(bad, f, nf, alphabet), (label, f.weight)
+        wrong = nf + phi(parse_word("a", alphabet)).scale(Fraction(1, 6))
+        assert not trace.certifies(f, wrong, alphabet)
+        assert not trace.certifies(f, nf.scale(2), alphabet)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_combination_equals_relation_by_relation_sum(rank):
+    for alphabet, f in _fractional_sums(rank):
+        _, trace = normal_form(f, alphabet)
+        total = counting_sum({})
+        for step in trace.steps:
+            relation = extension_relation(step.kind, step.base, alphabet)
+            total = total + relation.scale(step.coefficient)
+        assert trace.combination(alphabet) == total
+
+
+def test_certifies_rejects_empty_and_unreduced_bases():
+    f = phi(w("ab"))
+    for base in ((), (1, -1), (2, 1, -1)):
+        for kind in RelationKind:
+            trace = RewriteTrace((TraceStep(kind, base, Fraction(1, 2)),))
+            with pytest.raises(ValueError):
+                trace.certifies(f, f, AL)
+            with pytest.raises(ValueError):
+                trace.combination(AL)
+    with pytest.raises(ValueError, match="no extension relation at the identity"):
+        RewriteTrace((TraceStep(RelationKind.RIGHT, (), Fraction(1)),)).certifies(f, f, AL)
