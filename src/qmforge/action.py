@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .counting import BrooksSum, Mode, brooks_sum, phi
+from .counting import BrooksSum, Mode, brooks_sum
 from .freegroup import (
     A,
     B,
@@ -28,9 +28,6 @@ from .freegroup import (
     apply_nielsen,
     b_form,
     b_power,
-    inverse,
-    is_truncated,
-    kind_of,
     multiply,
     tau,
     word_sort_key,
@@ -361,8 +358,3 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
         else:
             out = act_perm_flip(gen, out, alphabet)
     return out
-
-
-def kind(w: Word):
-    """Shape classification of a nonempty word; see freegroup.Kind."""
-    return kind_of(w)

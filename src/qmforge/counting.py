@@ -307,7 +307,6 @@ def is_unbalanced(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Unba
 
 class LengthStatus(Enum):
     EXACT = "EXACT"
-    LOWER_BOUND = "LOWER_BOUND"
     UNKNOWN = "UNKNOWN"
 
 
@@ -339,12 +338,7 @@ def certified_reduced_length(f: BrooksSum, alphabet: Alphabet) -> CertifiedLengt
     for s_index in range(1, alphabet.rank + 1):
         end = truncated_end(support, s_index)
         if end.e_s:
+            # e_s nonempty means top > n_s, so every key of length top is in e_s.
             w = max(end.e_s, key=word_sort_key)
-            if len(w) == top:
-                return CertifiedLength(
-                    LengthStatus.EXACT, top, f"nonempty {s_index}-truncated end", w
-                )
-            # Unreachable from the definitions (a nonempty end always
-            # contains the maximal-length keys); kept for contract parity.
-            return CertifiedLength(LengthStatus.LOWER_BOUND, len(w), "sub-maximal end", w)
+            return CertifiedLength(LengthStatus.EXACT, top, f"nonempty {s_index}-truncated end", w)
     return CertifiedLength(LengthStatus.UNKNOWN, None, "no certificate applies")

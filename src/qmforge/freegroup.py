@@ -12,7 +12,6 @@ second.  `word_sort_key` realizes (length, lex) in that order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -316,15 +315,3 @@ def apply_nielsen(gen: NielsenGen, w: Word, alphabet: Alphabet) -> Word:
         img = _gen_image(gen, abs(x), alphabet.rank)
         letters.extend(img if x > 0 else inverse(img))
     return free_reduce(letters)
-
-
-def apply_nielsen_word(gens: tuple[NielsenGen, ...], w: Word, alphabet: Alphabet) -> Word:
-    """Apply a composition left-to-right: the first entry acts first."""
-    for gen in gens:
-        w = apply_nielsen(gen, w, alphabet)
-    return w
-
-
-def enumerate_words(alphabet: Alphabet, lengths: range) -> Iterator[Word]:
-    """Utility: reduced words whose lengths lie in the given range."""
-    return itertools.chain.from_iterable(sphere(alphabet, r) for r in lengths)

@@ -15,6 +15,9 @@ r/l pair anchored at a base word u; the step on Brooks sums
 and its exponent-shifting variants are exact identities of counting sums, so
 a trace of (kind, base, coefficient) entries certifies
 input - output = traced combination, symbolically and with zero tolerance.
+A single walk serves both ends of a key: the side it moves (RIGHT for the
+trailing exponent, LEFT for the leading one) is also the kind that leads
+each relation pair it consumes.
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -145,6 +148,11 @@ def _pair(base: Word, lead: RelationKind, c: Fraction) -> tuple[TraceStep, Trace
     return (TraceStep(lead, base, -c), TraceStep(other, inverse(base), c))
 
 
+def _attach(side: RelationKind, core: Word, block: Word) -> Word:
+    """core·block for RIGHT, block·core for LEFT."""
+    return core + block if side is RelationKind.RIGHT else block + core
+
+
 class _Rewriter:
     """Accumulates a weight and a trace while single-stepping exponents."""
 
@@ -163,94 +171,61 @@ class _Rewriter:
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         return brooks_sum(self.weight), RewriteTrace(tuple(self.steps))
 
-    # -- single steps on a trailing exponent -------------------------------
+    # -- single steps on the exponent at one end of the key -----------------
 
-    def _right_strip(self, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
-        """One step of phi(core b^m) with |m| shrinking; returns new carrier."""
+    def _strip(self, side: RelationKind, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
+        """One step of phi(core b^m) (RIGHT) or phi(b^m core) (LEFT) with |m|
+        shrinking; returns the new exponent and carrier."""
         sgn = 1 if m > 0 else -1
         if abs(m) >= 2:
-            base = core + b_power(m - sgn)
-            self.steps.extend(_pair(base, RelationKind.RIGHT, c))
+            base = _attach(side, core, b_power(m - sgn))
+            self.steps.extend(_pair(base, side, c))
             for s in self.alphabet.s_b():
-                self.emit(base + (s,), -c)
+                self.emit(_attach(side, base, (s,)), -c)
             return m - sgn, c
-        # crossing zero: phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
-        self.steps.extend(_pair(core, RelationKind.RIGHT, c))
+        # crossing zero (RIGHT): phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
+        end = core[-1] if side is RelationKind.RIGHT else core[0]
+        self.steps.extend(_pair(core, side, c))
         self.emit(core, c)
         for s in self.alphabet.s_b():
-            if s != -core[-1]:
-                self.emit(core + (s,), -c)
+            if s != -end:
+                self.emit(_attach(side, core, (s,)), -c)
         return -sgn, -c
 
-    def _right_grow(self, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
+    def _grow(self, side: RelationKind, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
         sgn = 1 if m > 0 else -1
-        base = core + b_power(m)
-        self.steps.extend(_pair(base, RelationKind.RIGHT, -c))
+        base = _attach(side, core, b_power(m))
+        self.steps.extend(_pair(base, side, -c))
         for s in self.alphabet.s_b():
-            self.emit(base + (s,), c)
+            self.emit(_attach(side, base, (s,)), c)
         return m + sgn, c
 
-    def retarget_right(self, core: Word, m_from: int, m_to: int, c: Fraction) -> None:
-        """Walk phi(core b^m_from) to +-phi(core b^m_to) plus debris.
+    def retarget(
+        self, side: RelationKind, core: Word, m_from: int, m_to: int, c: Fraction
+    ) -> None:
+        """Walk one b-exponent of a key to a new value, plus debris.
 
-        The core may be empty (pure b-powers) or any word ending in a non-b
-        letter, possibly carrying its own leading exponent.  The carrier sign
-        flips exactly when the walk crosses zero.
+        RIGHT walks the trailing exponent, phi(core b^m_from) to
+        +-phi(core b^m_to); LEFT walks the leading one, phi(b^m_from core) to
+        +-phi(b^m_to core).  Each step consumes a relation pair led by the
+        walked side's kind.  The core may be empty (pure b-powers) or any word
+        ending (RIGHT) or starting (LEFT) in a non-b letter, possibly carrying
+        its own exponent at the other end.  The carrier sign flips exactly
+        when the walk crosses zero.
         """
         if m_from == 0 or m_to == 0:
             raise ValueError("exponents must be nonzero")
         m, coeff = m_from, c
         while m != m_to:
             if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
-                m, coeff = self._right_grow(core, m, coeff)
+                m, coeff = self._grow(side, core, m, coeff)
             else:
-                m, coeff = self._right_strip(core, m, coeff)
-        self.emit(core + b_power(m_to), coeff)
-
-    # -- mirrored steps on a leading exponent ------------------------------
-
-    def _left_strip(self, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
-        sgn = 1 if m > 0 else -1
-        if abs(m) >= 2:
-            base = b_power(m - sgn) + core
-            self.steps.extend(_pair(base, RelationKind.LEFT, c))
-            for s in self.alphabet.s_b():
-                self.emit((s,) + base, -c)
-            return m - sgn, c
-        self.steps.extend(_pair(core, RelationKind.LEFT, c))
-        self.emit(core, c)
-        for s in self.alphabet.s_b():
-            if s != -core[0]:
-                self.emit((s,) + core, -c)
-        return -sgn, -c
-
-    def _left_grow(self, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
-        sgn = 1 if m > 0 else -1
-        base = b_power(m) + core
-        self.steps.extend(_pair(base, RelationKind.LEFT, -c))
-        for s in self.alphabet.s_b():
-            self.emit((s,) + base, c)
-        return m + sgn, c
-
-    def retarget_left(self, core: Word, m_from: int, m_to: int, c: Fraction) -> None:
-        if m_from == 0 or m_to == 0:
-            raise ValueError("exponents must be nonzero")
-        m, coeff = m_from, c
-        while m != m_to:
-            if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
-                m, coeff = self._left_grow(core, m, coeff)
-            else:
-                m, coeff = self._left_strip(core, m, coeff)
-        self.emit(b_power(m_to) + core, coeff)
-
-
-class Side(Enum):
-    LEFT = "LEFT"
-    RIGHT = "RIGHT"
+                m, coeff = self._strip(side, core, m, coeff)
+        self.emit(_attach(side, core, b_power(m_to)), coeff)
 
 
 def retarget_power(
-    side: Side,
+    side: RelationKind,
     x: Word,
     m_fixed: int,
     m_from: int,
@@ -269,10 +244,7 @@ def retarget_power(
     if m_from == 0 or m_to == 0:
         raise ValueError("retargeted exponents must be nonzero")
     rewriter = _Rewriter(alphabet)
-    if side is Side.RIGHT:
-        rewriter.retarget_right(b_power(m_fixed) + x, m_from, m_to, Fraction(1))
-    else:
-        rewriter.retarget_left(x + b_power(m_fixed), m_from, m_to, Fraction(1))
+    rewriter.retarget(side, _attach(side, b_power(m_fixed), x), m_from, m_to, Fraction(1))
     return rewriter.result()
 
 
@@ -287,7 +259,7 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
     rewriter = _Rewriter(alphabet)
     for v, c in f.weight.items():
         if tau(v) is None and len(v) >= 2:
-            rewriter.retarget_right((), len(v), 1, c)
+            rewriter.retarget(RelationKind.RIGHT, (), len(v), 1, c)
         else:
             rewriter.emit(v, c)
     return rewriter.result()
@@ -333,12 +305,10 @@ def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTr
         t = tau(v)
         assert t is not None
         skel = min(t, inverse(t), key=word_sort_key)
-        if t == skel:
-            form = b_form(v)
-            families.setdefault(skel, []).append((form.m0, form.mk, c))
-        else:
-            form = b_form(inverse(v))
-            families.setdefault(skel, []).append((form.m0, form.mk, -c))
+        if t != skel:
+            v, c = inverse(v), -c
+        form = b_form(v)
+        families.setdefault(skel, []).append((form.m0, form.mk, c))
     for skel, members in sorted(families.items(), key=lambda kv: word_sort_key(kv[0])):
         p_t, q_t, _ = min(
             members,
@@ -349,12 +319,12 @@ def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTr
         )
         for p, q, c in members:
             inner = _Rewriter(alphabet)
-            inner.retarget_left(skel + b_power(q), p, p_t, c)
+            inner.retarget(RelationKind.LEFT, skel + b_power(q), p, p_t, c)
             rewriter.steps.extend(inner.steps)
             for w, cw in inner.weight.items():
                 form = b_form(w)
                 if form.kind() is Kind.B_AND_B and form.m0 == p_t and tau(w) == skel:
-                    rewriter.retarget_right(b_power(p_t) + skel, form.mk, q_t, cw)
+                    rewriter.retarget(RelationKind.RIGHT, b_power(p_t) + skel, form.mk, q_t, cw)
                 else:
                     rewriter.emit(w, cw)
     return rewriter.result()
@@ -373,26 +343,21 @@ def _merge_columns(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rewrite
     columns: dict[Word, list[tuple[int, Fraction]]] = {}
     for v, c in f.weight.items():
         kind = kind_of(v)
-        if kind is Kind.B_LEFT:
-            form = b_form(v)
-            t = tau(v)
-            assert t is not None
-            columns.setdefault(t, []).append((form.m0, c))
-        elif kind is Kind.RIGHT_B:
-            w = inverse(v)
-            form = b_form(w)
-            t = tau(w)
-            assert t is not None
-            columns.setdefault(t, []).append((form.m0, -c))
-        else:
+        if kind not in (Kind.B_LEFT, Kind.RIGHT_B):
             rewriter.emit(v, c)
+            continue
+        if kind is Kind.RIGHT_B:
+            v, c = inverse(v), -c
+        t = tau(v)
+        assert t is not None
+        columns.setdefault(t, []).append((b_form(v).m0, c))
     for skel, members in sorted(columns.items(), key=lambda kv: word_sort_key(kv[0])):
         m_t = min(
             (m for m, _ in members),
             key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)),
         )
         for m, c in members:
-            rewriter.retarget_left(skel, m, m_t, c)
+            rewriter.retarget(RelationKind.LEFT, skel, m, m_t, c)
     return rewriter.result()
 
 

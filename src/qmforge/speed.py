@@ -33,7 +33,6 @@ from .counting import (
     NEG_INFINITY,
     BrooksSum,
     LengthStatus,
-    Mode,
     _NegInf,
     brooks_sum,
     certified_reduced_length,
@@ -52,7 +51,14 @@ from .freegroup import (
     tau,
     word_sort_key,
 )
-from .relations import RewriteTrace, _Rewriter, eliminate_b_powers, is_normal_form, normal_form
+from .relations import (
+    RelationKind,
+    RewriteTrace,
+    _Rewriter,
+    eliminate_b_powers,
+    is_normal_form,
+    normal_form,
+)
 
 _KIND_OFFSET = {Kind.B_TRUNCATED: 0, Kind.B_LEFT: 1, Kind.RIGHT_B: 1, Kind.B_AND_B: 2}
 
@@ -176,7 +182,7 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
         if form.m0 == target:
             rewriter.emit(v, c)
         else:
-            rewriter.retarget_left((form.s[0],), form.m0, target, c)
+            rewriter.retarget(RelationKind.LEFT, (form.s[0],), form.m0, target, c)
     mid, trace = rewriter.result()
     lam = mid.coefficient((A, B))
     residue = mid - rot(alphabet).scale(lam)
@@ -294,14 +300,7 @@ def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
 
 class BoundTag(Enum):
     EXACT = "EXACT"
-    LOWER = "LOWER"
     UPPER = "UPPER"
-
-
-_TAG_OF_STATUS = {
-    LengthStatus.EXACT: BoundTag.EXACT,
-    LengthStatus.LOWER_BOUND: BoundTag.LOWER,
-}
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,7 @@ def empirical_speed(
             length, tag = norm(rep), BoundTag.UPPER
         else:
             assert cert.value is not None
-            length, tag = cert.value, _TAG_OF_STATUS[cert.status]
+            length, tag = cert.value, BoundTag.EXACT
         scale = gauge(n)
         if scale <= 0:
             raise ValueError("the gauge must be positive")

@@ -25,6 +25,9 @@ from qmforge.counting import (
     zero,
 )
 from qmforge.freegroup import Alphabet, ball, inverse, parse_word
+from qmforge.relations import RelationKind, extension_relation
+
+from _corpus import random_brooks_sum
 
 AL = Alphabet(2)
 
@@ -158,6 +161,31 @@ def test_certified_length_unknown_when_no_certificate_applies():
     assert cert.status in (LengthStatus.UNKNOWN, LengthStatus.EXACT)
     if cert.status is LengthStatus.UNKNOWN:
         assert cert.value is None
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_certified_length_is_exact_or_unknown(rank):
+    """Every certificate pins the length exactly, or admits it does not know."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(41 + rank)
+    seen = set()
+    for _ in range(200):
+        f = as_counting(random_brooks_sum(rng, alphabet, max_keys=4, max_len=4))
+        # subtracting extension relations smooths the top level, so that
+        # balanced sums (status UNKNOWN) occur as well as unbalanced ones
+        smoothed = f
+        for v, c in f.weight.items():
+            kind = rng.choice(list(RelationKind))
+            smoothed = smoothed - extension_relation(kind, v, alphabet).scale(c)
+        for g in (f, smoothed):
+            cert = certified_reduced_length(g, alphabet)
+            seen.add(cert.status)
+            assert cert.status in (LengthStatus.EXACT, LengthStatus.UNKNOWN), (g.weight, cert)
+            if cert.status is LengthStatus.EXACT:
+                top = norm(as_counting(g))
+                assert cert.value == top, (g.weight, cert)
+                assert cert.witness is None or len(cert.witness) == top, (g.weight, cert)
+    assert seen == {LengthStatus.EXACT, LengthStatus.UNKNOWN}
 
 
 def test_truncated_end_of_support():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qmforge.action import NielsenWord
 from qmforge.freegroup import (
     A,
     B,
@@ -12,7 +13,6 @@ from qmforge.freegroup import (
     Kind,
     NielsenGen,
     apply_nielsen,
-    apply_nielsen_word,
     b_form,
     ball,
     ball_size,
@@ -158,7 +158,7 @@ def test_apply_nielsen_word_composes_left_to_right():
     gens = (NielsenGen.P1, NielsenGen.TINV)
     for v in ball(AL, 3):
         step = apply_nielsen(NielsenGen.P1, v, AL)
-        assert apply_nielsen_word(gens, v, AL) == apply_nielsen(NielsenGen.TINV, step, AL)
+        assert NielsenWord(gens).word(v, AL) == apply_nielsen(NielsenGen.TINV, step, AL)
 
 
 def test_nielsen_images_are_automorphic():

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi, zero
-from qmforge.freegroup import Alphabet, ball, parse_word
+from qmforge.freegroup import Alphabet, b_power, ball, inverse, parse_word
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
     RelationKind,
     RewriteTrace,
-    Side,
     TraceStep,
     eliminate_b_powers,
     extension_relation,
@@ -52,30 +51,52 @@ def test_extension_relation_rejects_identity():
 
 def test_retarget_right_single_step_down():
     """phi(ab^2) rewrites to phi(ab) plus short truncated corrections."""
-    moved, trace = retarget_power(Side.RIGHT, w("a"), 0, 2, 1, AL)
+    moved, trace = retarget_power(RelationKind.RIGHT, w("a"), 0, 2, 1, AL)
     assert moved.coefficient(w("ab")) == 1
     assert trace.certifies(phi(w("abb")), moved, AL)
 
 
 def test_retarget_crossing_zero_flips_sign():
-    moved, trace = retarget_power(Side.RIGHT, w("a"), 0, 1, -1, AL)
+    moved, trace = retarget_power(RelationKind.RIGHT, w("a"), 0, 1, -1, AL)
     assert moved.coefficient(w("ab'")) == -1
     assert trace.certifies(phi(w("ab")), moved, AL)
 
 
+def _mirror_cases():
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        texts = ["a", "a'", "aba", "ab'a'"] + (["ac", "c'a"] if rank >= 3 else [])
+        for text in texts:
+            for m_fixed in range(-3, 4):
+                for m_from in (-4, -2, -1, 1, 2, 5):
+                    for m_to in (-3, -1, 1, 2, 4):
+                        yield alphabet, parse_word(text, alphabet), m_fixed, m_from, m_to
+
+
 def test_retarget_left_mirrors_right():
-    moved_r, _ = retarget_power(Side.RIGHT, w("a"), 0, 2, 1, AL)
-    moved_l, trace_l = retarget_power(Side.LEFT, w("a'"), 0, -2, -1, AL)
-    # b^-2 a^-1 = (a b^2)^-1, so the two rewrites are negatives of each other
-    assert moved_l == moved_r.scale(-1)
-    assert trace_l.certifies(phi(w("b'b'a'")), moved_l, AL)
+    """Walking the leading exponent of a key's inverse is the RIGHT walk seen
+    through inversion, at ranks 2-4: the negated sum, and the same steps in
+    the same order with the relation kinds swapped and the bases inverted."""
+    other = {RelationKind.LEFT: RelationKind.RIGHT, RelationKind.RIGHT: RelationKind.LEFT}
+    for alphabet, x, m_fixed, m_from, m_to in _mirror_cases():
+        case = (alphabet.rank, x, m_fixed, m_from, m_to)
+        moved_r, trace_r = retarget_power(RelationKind.RIGHT, x, m_fixed, m_from, m_to, alphabet)
+        moved_l, trace_l = retarget_power(
+            RelationKind.LEFT, inverse(x), -m_fixed, -m_from, -m_to, alphabet
+        )
+        assert moved_l == moved_r.scale(-1), case
+        mirrored = [TraceStep(other[s.kind], inverse(s.base), s.coefficient) for s in trace_r.steps]
+        assert list(trace_l.steps) == mirrored, case
+        key = b_power(m_fixed) + x + b_power(m_from)
+        assert trace_r.certifies(phi(key), moved_r, alphabet), case
+        assert trace_l.certifies(phi(inverse(key)), moved_l, alphabet), case
 
 
 def test_retarget_rejects_bad_input():
     with pytest.raises(ValueError):
-        retarget_power(Side.RIGHT, w("b"), 0, 1, 2, AL)  # x not truncated
+        retarget_power(RelationKind.RIGHT, w("b"), 0, 1, 2, AL)  # x not truncated
     with pytest.raises(ValueError):
-        retarget_power(Side.RIGHT, w("a"), 0, 0, 2, AL)  # zero exponent
+        retarget_power(RelationKind.RIGHT, w("a"), 0, 0, 2, AL)  # zero exponent
 
 
 # -- b-power elimination ---------------------------------------------------------
