@@ -30,7 +30,6 @@ from .freegroup import (
     b_power,
     multiply,
     tau,
-    word_sort_key,
 )
 from .relations import eliminate_b_powers
 
@@ -150,9 +149,6 @@ class W1Support:
                 assert len(u) == len(l) + len(self.middle) + len(r), (l, self.middle, r)
                 out[u] = out.get(u, Fraction(0)) + cl * cr
         return out
-
-    def words(self) -> list[Word]:
-        return sorted(self.weight(), key=word_sort_key)
 
     def as_sum(self) -> BrooksSum:
         return brooks_sum(self.weight())
@@ -313,8 +309,6 @@ def n_representative_sum(f: BrooksSum, n: int, alphabet: Alphabet) -> BrooksSum:
         raise ValueError("representatives are defined for Brooks sums")
     entries: dict[Word, Fraction] = {}
     for v, c in f.weight.items():
-        if tau(v) is None and len(v) >= 2:
-            raise ValueError("eliminate b-powers before taking representatives")
         for u, cu in n_representative(v, n, alphabet).weight.items():
             entries[u] = entries.get(u, Fraction(0)) + c * cu
     return brooks_sum(entries)

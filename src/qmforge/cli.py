@@ -22,7 +22,7 @@ from .action import NielsenWord, act, n_representative_sum, wstar_n
 from .counting import (
     BrooksSum,
     as_counting,
-    canonicalize,
+    brooks_sum,
     certified_reduced_length,
     count_subword,
     counting_sum,
@@ -90,7 +90,7 @@ class _ExprParser:
                 self.fail(f"expected '+' or '-', found {ch!r}")
             sign, self.i = (1 if ch == "+" else -1), self.i + 1
 
-        # Raw weights, summed term by term; canonicalize re-orients and
+        # Raw weights, summed term by term; brooks_sum re-orients and
         # merges the phi keys once.  A # key stays even at weight 0, so any
         # # term switches the result to counting mode.
         brooks: dict[Word, Fraction] = {}
@@ -103,7 +103,7 @@ class _ExprParser:
                 assert word is not None
                 into = brooks if kind == "phi" else counting
                 into[word] = into.get(word, Fraction(0)) + coef
-        f = canonicalize(brooks)
+        f = brooks_sum(brooks)
         if counting:
             return counting_sum(counting) + as_counting(f)
         return f
@@ -392,7 +392,7 @@ def _suite_rot(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
     r = rot(alphabet)
     moved = act(NielsenGen.TINV, r, alphabet)
     diff = moved - r
-    radii = [L for L in (4, 5, 6) if cap is None or L <= cap] or [cap or 4]
+    radii = [L for L in (4, 5, 6) if cap is None or L <= cap] or [cap]
     sups = [sup_on_ball(diff, L, alphabet).sup for L in radii]
     if len(set(sups)) != 1:
         return False, f"sup of act(Tinv, rot) - rot drifts: {sups} on radii {radii}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .freegroup import (
     Alphabet,
@@ -49,30 +49,6 @@ def count_subword(v: Word, w: Word) -> int:
         raise ValueError("the identity has no counting function")
     k = len(v)
     return sum(1 for i in range(len(w) - k + 1) if w[i : i + k] == v)
-
-
-class _NegInf:
-    """Sentinel strictly below every integer (the empty-max value)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, _NegInf)
-
-    def __repr__(self) -> str:
-        return "NEG_INFINITY"
-
-
-NEG_INFINITY = _NegInf()
 
 
 @dataclass(frozen=True)
@@ -132,7 +108,7 @@ def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     return BrooksSum(_validated({v: Fraction(c) for v, c in entries.items()}), Mode.COUNTING)
 
 
-def canonicalize(entries: dict[Word, Rational | int]) -> BrooksSum:
+def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     """Brooks sum from a raw weight, re-orienting keys to canonical form.
 
     Of each pair {v, v^-1} the (length, lex)-smaller word is kept; weights of
@@ -155,13 +131,9 @@ def canonicalize(entries: dict[Word, Rational | int]) -> BrooksSum:
     return BrooksSum({v: c for v, c in merged.items() if c != 0}, Mode.BROOKS)
 
 
-def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
-    return canonicalize(dict(entries))
-
-
 def phi(v: Word) -> BrooksSum:
     """The Brooks quasimorphism of a single word."""
-    return canonicalize({v: Fraction(1)})
+    return brooks_sum({v: Fraction(1)})
 
 
 def count_term(v: Word) -> BrooksSum:
@@ -213,35 +185,6 @@ def format_sum(f: BrooksSum) -> str:
         parts.append(f"{sign} {coeff}{head}({word_str(v)})")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-# ---------------------------------------------------------------------------
-# Truncated ends
-
-
-@dataclass(frozen=True)
-class TruncatedEnd:
-    """n_s(I) and E_s(I) = {v in I : |v| > n_s(I)}.
-
-    n_s is the maximal length of a non-s-truncated element of I, or the
-    NEG_INFINITY sentinel when every element is s-truncated (then E_s = I).
-    """
-
-    n_s: int | _NegInf
-    e_s: frozenset[Word]
-
-
-def truncated_end(words: Iterable[Word], s_index: int) -> TruncatedEnd:
-    words = list(words)
-    if () in words:
-        raise ValueError("the identity has no truncation structure")
-    lengths = [
-        len(v)
-        for v in words
-        if abs(v[0]) == s_index or abs(v[-1]) == s_index
-    ]
-    n_s: int | _NegInf = max(lengths) if lengths else NEG_INFINITY
-    return TruncatedEnd(n_s, frozenset(v for v in words if len(v) > n_s))
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +264,8 @@ class CertifiedLength:
 def certified_reduced_length(f: BrooksSum, alphabet: Alphabet) -> CertifiedLength:
     """Best available certificate for the reduced length of f's class.
 
-    EXACT certificates, tried in order: norm <= 1 (such sums are reduced),
-    unbalancedness, and a nonempty s-truncated end of the counting support
-    for some letter s.  When nothing applies the answer is UNKNOWN; deciding
+    EXACT certificates, tried in order: norm <= 1 (such sums are reduced)
+    and unbalancedness.  When neither applies the answer is UNKNOWN; deciding
     reducedness in general is out of scope.
     """
     g = as_counting(f)
@@ -334,11 +276,7 @@ def certified_reduced_length(f: BrooksSum, alphabet: Alphabet) -> CertifiedLengt
     if unbalanced:
         assert witness is not None
         return CertifiedLength(LengthStatus.EXACT, top, "unbalanced", witness.v0)
-    support = list(g.weight)
-    for s_index in range(1, alphabet.rank + 1):
-        end = truncated_end(support, s_index)
-        if end.e_s:
-            # e_s nonempty means top > n_s, so every key of length top is in e_s.
-            w = max(end.e_s, key=word_sort_key)
-            return CertifiedLength(LengthStatus.EXACT, top, f"nonempty {s_index}-truncated end", w)
+    # No s-truncated end is nonempty here.  Balance puts, for every letter index s,
+    # a key of length top that starts or ends with s (the right brothers of a top
+    # key, or its left brothers or a right brother of each), so n_s = top.
     return CertifiedLength(LengthStatus.UNKNOWN, None, "no certificate applies")

@@ -49,9 +49,6 @@ class Alphabet:
         """S_b: every letter except b and b' (index 2)."""
         return [x for x in self.letters() if abs(x) != 2]
 
-    def contains_letter(self, x: int) -> bool:
-        return x != 0 and abs(x) <= self.rank
-
 
 A = 1
 B = 2
@@ -146,17 +143,21 @@ def word_str(w: Word) -> str:
 # Cayley balls
 
 
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
 def ball_size(rank: int, radius: int) -> int:
     """Closed-form number of reduced words of length <= radius."""
+    _check_radius(radius)
     q = 2 * rank - 1
-    return 1 + 2 * rank * (q**radius - 1) // (q - 1) if radius > 0 else 1
+    return 1 + 2 * rank * (q**radius - 1) // (q - 1)
 
 
 def sphere(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """All reduced words of exactly the given length, in lex order."""
-    if radius == 0:
-        yield EMPTY
-        return
+    _check_radius(radius)
     order = alphabet.letters()
 
     def extend(w: Word, remaining: int) -> Iterator[Word]:
@@ -167,13 +168,13 @@ def sphere(alphabet: Alphabet, radius: int) -> Iterator[Word]:
             if not w or x != -w[-1]:
                 yield from extend(w + (x,), remaining - 1)
 
-    yield from extend(EMPTY, radius)
+    return extend(EMPTY, radius)
 
 
 def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """All reduced words of length <= radius, level by level, lex in level."""
-    for r in range(radius + 1):
-        yield from sphere(alphabet, r)
+    _check_radius(radius)
+    return (w for r in range(radius + 1) for w in sphere(alphabet, r))
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +201,6 @@ class BForm:
 
     m: tuple[int, ...]
     s: tuple[int, ...]
-
-    @property
-    def b_length(self) -> int:
-        return len(self.s)
 
     @property
     def m0(self) -> int:

@@ -134,9 +134,6 @@ class RewriteTrace:
         return not any(acc.values())
 
 
-EMPTY_TRACE = RewriteTrace(())
-
-
 def _pair(base: Word, lead: RelationKind, c: Fraction) -> tuple[TraceStep, TraceStep]:
     """Trace entries (lead, base, -c) and (mirror, base^-1, +c).
 

@@ -10,7 +10,7 @@ exponents to 1 and absorbing the b*a^-1 / a*b column into rot.
 support_geometry reports the length grid of the n-support of one key from
 the actual factor words, plus the cutoff n_b below which non-b-truncated
 support words live; empirical_speed is the estimator companion - it only
-reports certified lengths against a gauge and makes no convergence claim.
+reports certified lengths against n and makes no convergence claim.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .action import (
     NielsenWord,
@@ -30,10 +30,8 @@ from .action import (
     right_factors,
 )
 from .counting import (
-    NEG_INFINITY,
     BrooksSum,
     LengthStatus,
-    _NegInf,
     brooks_sum,
     certified_reduced_length,
     norm,
@@ -235,8 +233,8 @@ class SupportGeometry:
 
     square_lengths[(i, j)] is the common length of the support words built
     from an index-i left factor and an index-j right factor; n_b bounds the
-    lengths of the non-b-truncated support words (NEG_INFINITY when every
-    support word is b-truncated, in which case E_b is the whole support).
+    lengths of the non-b-truncated support words (0 when every support word
+    is b-truncated, in which case E_b is the whole support).
     """
 
     base: Word
@@ -244,7 +242,7 @@ class SupportGeometry:
     kind: Kind
     middle: Word
     square_lengths: dict[tuple[int, int], int]
-    n_b: Union[int, _NegInf]
+    n_b: int
     support_norm: int
     e_b_nonempty: bool
 
@@ -267,25 +265,20 @@ def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
         (i, j): li + len(rep.M) + rj for i, li in left_len.items() for j, rj in right_len.items()
     }
 
-    kind = form.kind()
-    n_b: Union[int, _NegInf]
-    if kind is Kind.B_TRUNCATED:
-        n_b = NEG_INFINITY
-    else:
-        arms = []
-        if form.m0 != 0:
-            w_k = w[abs(form.m0):]
-            arms.append(abs(form.m0) + norm(n_representative(w_k, n, alphabet)))
-        if form.mk != 0:
-            w_0 = w[: len(w) - abs(form.mk)]
-            arms.append(norm(n_representative(w_0, n, alphabet)) + abs(form.mk))
-        n_b = max(arms)
+    arms = [0]
+    if form.m0 != 0:
+        w_k = w[abs(form.m0):]
+        arms.append(abs(form.m0) + norm(n_representative(w_k, n, alphabet)))
+    if form.mk != 0:
+        w_0 = w[: len(w) - abs(form.mk)]
+        arms.append(norm(n_representative(w_0, n, alphabet)) + abs(form.mk))
+    n_b = max(arms)
 
     support_norm = norm(rep.as_sum())
     return SupportGeometry(
         base=w,
         n=n,
-        kind=kind,
+        kind=form.kind(),
         middle=rep.M,
         square_lengths=squares,
         n_b=n_b,
@@ -313,7 +306,6 @@ class GaugeSample:
 
 @dataclass(frozen=True)
 class GaugeSeries:
-    gauge: str
     samples: tuple[GaugeSample, ...]
 
 
@@ -322,10 +314,8 @@ def empirical_speed(
     x: Union[NielsenWord, NielsenGen],
     n_max: int,
     alphabet: Alphabet,
-    gauge: Optional[Callable[[int], int]] = None,
-    gauge_name: Optional[str] = None,
 ) -> GaugeSeries:
-    """Certified lengths of representatives of x^n[f] against a gauge.
+    """Certified lengths of representatives of x^n[f] against n.
 
     For x = T^-1 the representative is the explicit n-representative (so the
     whole series costs one pass); any other Nielsen word is iterated.  Each
@@ -337,8 +327,6 @@ def empirical_speed(
         raise ValueError("n_max must be >= 1")
     if isinstance(x, NielsenGen):
         x = NielsenWord.from_gens([x])
-    if gauge is None:
-        gauge, gauge_name = (lambda n: n), gauge_name or "n"
 
     pure_tinv = x.gens == (NielsenGen.TINV,)
     if pure_tinv:
@@ -358,8 +346,5 @@ def empirical_speed(
         else:
             assert cert.value is not None
             length, tag = cert.value, BoundTag.EXACT
-        scale = gauge(n)
-        if scale <= 0:
-            raise ValueError("the gauge must be positive")
-        samples.append(GaugeSample(n, length, tag, Fraction(length, scale)))
-    return GaugeSeries(gauge_name or "custom", samples=tuple(samples))
+        samples.append(GaugeSample(n, length, tag, Fraction(length, n)))
+    return GaugeSeries(samples=tuple(samples))

@@ -239,6 +239,23 @@ def test_verify_passes_at_ranks_2_to_4(capsys, rank):
     assert out.count(": PASS - ") == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "rot", "--radius", "-1"], ["verify", "counting", "--radius", "-1"], ["ball", "-1"]],
+    ids=["verify-rot", "verify-counting", "ball"],
+)
+def test_negative_radius_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == "qmforge: contract violation in freegroup: radius must be >= 0, got -1"
+
+
+def test_verify_rot_honours_radius_zero(capsys):
+    code, out, _ = run(capsys, "verify", "rot", "--radius", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["detail"].endswith("on radii [0]")
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "norm", "--format", "json")
     assert code == 0

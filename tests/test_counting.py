@@ -21,7 +21,6 @@ from qmforge.counting import (
     norm,
     phi,
     right_brothers,
-    truncated_end,
     zero,
 )
 from qmforge.freegroup import Alphabet, ball, inverse, parse_word
@@ -147,15 +146,15 @@ def test_certified_length_unbalanced_is_exact():
     assert cert.status is LengthStatus.EXACT and cert.value == 2
 
 
-def test_certified_length_truncated_end():
-    """A sum whose top keys survive the s-truncated-end test is exact."""
+def test_certified_length_of_a_single_long_key_is_unbalanced():
     f = brooks_sum({w("aba"): 1, w("b"): 1})
     cert = certified_reduced_length(f, AL)
     assert cert.status is LengthStatus.EXACT and cert.value == 3
+    assert cert.certificate == "unbalanced"
 
 
 def test_certified_length_unknown_when_no_certificate_applies():
-    # phi(ab) + phi(ba) is balanced and has no truncated top end on either side
+    # phi(ab) + phi(ba) is balanced, and balance leaves no other certificate
     f = brooks_sum({w("ab"): 1, w("ba"): 1})
     cert = certified_reduced_length(f, AL)
     assert cert.status in (LengthStatus.UNKNOWN, LengthStatus.EXACT)
@@ -163,36 +162,63 @@ def test_certified_length_unknown_when_no_certificate_applies():
         assert cert.value is None
 
 
-@pytest.mark.parametrize("rank", [2, 3, 4])
-def test_certified_length_is_exact_or_unknown(rank):
-    """Every certificate pins the length exactly, or admits it does not know."""
+def _raw_and_smoothed_sums(rank):
+    """Random counting sums, each followed by a relation-smoothed copy.
+
+    Subtracting extension relations smooths the top level, so that balanced
+    sums (status UNKNOWN) occur as well as unbalanced ones.
+    """
     alphabet = Alphabet(rank)
     rng = random.Random(41 + rank)
-    seen = set()
     for _ in range(200):
         f = as_counting(random_brooks_sum(rng, alphabet, max_keys=4, max_len=4))
-        # subtracting extension relations smooths the top level, so that
-        # balanced sums (status UNKNOWN) occur as well as unbalanced ones
         smoothed = f
         for v, c in f.weight.items():
             kind = rng.choice(list(RelationKind))
             smoothed = smoothed - extension_relation(kind, v, alphabet).scale(c)
-        for g in (f, smoothed):
-            cert = certified_reduced_length(g, alphabet)
-            seen.add(cert.status)
-            assert cert.status in (LengthStatus.EXACT, LengthStatus.UNKNOWN), (g.weight, cert)
-            if cert.status is LengthStatus.EXACT:
-                top = norm(as_counting(g))
-                assert cert.value == top, (g.weight, cert)
-                assert cert.witness is None or len(cert.witness) == top, (g.weight, cert)
+        yield f
+        yield smoothed
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_certified_length_is_exact_or_unknown(rank):
+    """Every certificate pins the length exactly, or admits it does not know."""
+    alphabet = Alphabet(rank)
+    seen = set()
+    for g in _raw_and_smoothed_sums(rank):
+        cert = certified_reduced_length(g, alphabet)
+        seen.add(cert.status)
+        assert cert.certificate in ("norm at most 1", "unbalanced", "no certificate applies"), (
+            g.weight,
+            cert,
+        )
+        if cert.status is LengthStatus.EXACT:
+            top = norm(as_counting(g))
+            assert cert.value == top, (g.weight, cert)
+            assert cert.witness is None or len(cert.witness) == top, (g.weight, cert)
+        else:
+            assert cert.certificate == "no certificate applies" and cert.value is None, cert
     assert seen == {LengthStatus.EXACT, LengthStatus.UNKNOWN}
 
 
-def test_truncated_end_of_support():
-    te = truncated_end([w("aba"), w("ab")], 1)  # s = a
-    assert te.n_s == 3  # aba both starts and ends with a
-    te2 = truncated_end([w("bb")], 1)  # bb is a-truncated on both sides
-    assert te2.e_s == frozenset({w("bb")})
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_balanced_top_level_covers_every_index(rank):
+    """Why no s-truncated end certificate exists beyond unbalancedness.
+
+    In a balanced sum of norm >= 2, every letter index starts or ends some key
+    of maximal length, so n_s equals the norm for every s and every s-truncated
+    end E_s = {v : |v| > n_s} is empty.
+    """
+    alphabet = Alphabet(rank)
+    balanced = 0
+    for g in _raw_and_smoothed_sums(rank):
+        top = norm(g)
+        if top < 2 or is_unbalanced(g, alphabet)[0]:
+            continue
+        balanced += 1
+        ends = {abs(x) for v in g.weight if len(v) == top for x in (v[0], v[-1])}
+        assert ends == set(range(1, rank + 1)), g.weight
+    assert balanced >= 100
 
 
 def test_brothers_vary_one_letter():

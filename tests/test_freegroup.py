@@ -87,6 +87,12 @@ def test_ball_sizes_match_closed_form():
     assert ball_size(2, 7) == 4373
 
 
+def test_negative_radius_is_rejected_before_enumeration():
+    for make in (lambda: ball(AL, -1), lambda: sphere(AL, -1), lambda: ball_size(2, -1)):
+        with pytest.raises(ValueError, match="radius must be >= 0, got -1"):
+            make()
+
+
 def test_sphere_words_are_reduced_and_distinct():
     seen = set()
     for v in sphere(AL, 4):

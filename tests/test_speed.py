@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import NEG_INFINITY, brooks_sum, format_sum, phi, zero
+from qmforge.counting import brooks_sum, format_sum, phi, zero
 from qmforge.freegroup import Alphabet, NielsenGen, ball, inverse, parse_word
 from qmforge.relations import RelationKind, extension_relation, normal_form
 from qmforge.speed import (
@@ -208,9 +208,9 @@ def test_support_geometry_frozen_grid():
 
 def test_support_geometry_of_truncated_words():
     geo = support_geometry(w("aba"), 3, AL)
-    assert geo.n_b is NEG_INFINITY
+    assert geo.n_b == 0
     assert list(geo.square_lengths) == [(0, 0)]
-    assert geo.e_b_nonempty  # every support word beats the sentinel
+    assert geo.e_b_nonempty  # every support word is longer than the empty max
 
 
 def test_support_geometry_rejects_b_powers():
@@ -239,8 +239,6 @@ def test_empirical_speed_window_matches_sp():
 def test_empirical_speed_rejects_bad_gauges():
     with pytest.raises(ValueError):
         empirical_speed(phi(w("ab")), NielsenGen.TINV, 0, AL)
-    with pytest.raises(ValueError):
-        empirical_speed(phi(w("ab")), NielsenGen.TINV, 2, AL, gauge=lambda n: 0)
 
 
 def test_empirical_speed_iterates_general_words():
@@ -248,7 +246,6 @@ def test_empirical_speed_iterates_general_words():
 
     series = empirical_speed(phi(w("ab")), NielsenWord.parse("P1"), 2, AL)
     assert len(series.samples) == 2
-    assert series.gauge == "n"
 
 
 # -- interaction with normal form -----------------------------------------------------
