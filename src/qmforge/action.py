@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .counting import BrooksSum, Mode, brooks_sum
 from .freegroup import (
@@ -28,8 +28,10 @@ from .freegroup import (
     apply_nielsen,
     b_form,
     b_power,
+    inverse,
     multiply,
     tau,
+    word_str,
 )
 from .relations import eliminate_b_powers
 
@@ -91,19 +93,62 @@ def act_perm_flip(gen: NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSu
 
 
 # ---------------------------------------------------------------------------
-# The one-step support calculus for T^-1
+# The T^-1 support calculus
+#
+# Both the one-step support and the n-representative of phi_w are products
+# l . M . r: rows l read off the left end (m0, s1) of w = b^m0 s1 ... sk b^mk,
+# a middle word M, and rows r read off the right end (mk, sk).  Only the left
+# rows are written down.  w^-1 starts with (-mk, -sk) and T is an
+# automorphism, so inverting the product l . M . r for w^-1 gives the one for
+# w: the right rows of w are the left rows of (-mk, -sk), each word inverted.
+
+Rows = tuple[tuple[Word, int], ...]
 
 
-def _middle(w: Word, alphabet: Alphabet) -> Word:
-    t = tau(w)
-    assert t is not None
-    m = tau(apply_nielsen(NielsenGen.TINV, t, alphabet))
+@dataclass(frozen=True)
+class SupportProduct:
+    """The signed sum over (l, c_l) in left, (r, c_r) in right of c_l c_r phi(l . middle . r)."""
+
+    base: Word
+    left: Rows
+    middle: Word
+    right: Rows
+
+    def weight(self) -> dict[Word, Fraction]:
+        out: dict[Word, Fraction] = {}
+        for l, cl in self.left:
+            for r, cr in self.right:
+                u = multiply(l, self.middle, r)
+                if len(u) != len(l) + len(self.middle) + len(r):
+                    raise ValueError(f"support of {word_str(self.base)} cancels to {word_str(u)}")
+                out[u] = out.get(u, Fraction(0)) + cl * cr
+        return out
+
+    def as_sum(self) -> BrooksSum:
+        return brooks_sum(self.weight())
+
+
+def _middle_n(w: Word, n: int, alphabet: Alphabet) -> Word:
+    m = tau(w)
     assert m is not None
+    for _ in range(n):
+        m = tau(apply_nielsen(NielsenGen.TINV, m, alphabet))
+        assert m is not None
     return m
 
 
-def _left_table(m0: int, s1: int, alphabet: Alphabet) -> tuple[tuple[Word, int], ...]:
-    del alphabet
+def _product(w: Word, middle: Word, rows: Callable[[int, int], Rows]) -> SupportProduct:
+    """Left rows rows(m0, s1), right rows rows(-mk, -sk) with every word inverted."""
+    form = b_form(w)
+    return SupportProduct(
+        base=w,
+        left=rows(form.m0, form.s[0]),
+        middle=middle,
+        right=tuple((inverse(u), c) for u, c in rows(-form.mk, -form.s[-1])),
+    )
+
+
+def _left_table(m0: int, s1: int) -> Rows:
     if m0 == 0:
         return (((), 1),)
     if m0 > 0:
@@ -117,60 +162,15 @@ def _left_table(m0: int, s1: int, alphabet: Alphabet) -> tuple[tuple[Word, int],
     return ((b_power(m0 + 1), 1), ((A,) + b_power(m0 + 1), -1))
 
 
-def _right_table(mk: int, sk: int, alphabet: Alphabet) -> tuple[tuple[Word, int], ...]:
-    del alphabet
-    if mk == 0:
-        return (((), 1),)
-    if mk > 0:
-        if sk == A:
-            if mk == 1:
-                return (((), 1), (b_power(-1), -1))
-            return ((b_power(mk - 1), 1), (b_power(mk - 1) + (-A,), -1))
-        return ((b_power(mk), 1), (b_power(mk) + (-A,), -1))
-    if sk == A:
-        return ((b_power(mk - 1), 1), (b_power(mk) + (-A,), 1))
-    return ((b_power(mk), 1), (b_power(mk + 1) + (-A,), 1))
-
-
-@dataclass(frozen=True)
-class W1Support:
-    """Signed decomposition of phi_w . T: left x middle x right."""
-
-    base: Word
-    left: tuple[tuple[Word, int], ...]
-    middle: Word
-    right: tuple[tuple[Word, int], ...]
-
-    def weight(self) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
-        for l, cl in self.left:
-            for r, cr in self.right:
-                u = multiply(l, self.middle, r)
-                assert len(u) == len(l) + len(self.middle) + len(r), (l, self.middle, r)
-                out[u] = out.get(u, Fraction(0)) + cl * cr
-        return out
-
-    def as_sum(self) -> BrooksSum:
-        return brooks_sum(self.weight())
-
-
-def w1_support(w: Word, alphabet: Alphabet) -> W1Support:
+def w1_support(w: Word, alphabet: Alphabet) -> SupportProduct:
     """The signed one-step support of phi_w . T for a non-b-power key."""
     if tau(w) is None:
         raise ValueError("b-powers have no one-step table; eliminate them first")
-    form = b_form(w)
-    return W1Support(
-        base=w,
-        left=_left_table(form.m0, form.s[0], alphabet),
-        middle=_middle(w, alphabet),
-        right=_right_table(form.mk, form.s[-1], alphabet),
-    )
+    return _product(w, _middle_n(w, 1, alphabet), _left_table)
 
 
 def wstar_n(w: Word, n: int, alphabet: Alphabet) -> dict[Word, Fraction]:
     """Signed support of phi_w . T^n via the one-step recursion."""
-    if tau(w) is None:
-        raise ValueError("b-powers have no one-step table; eliminate them first")
     if n < 1:
         raise ValueError("n must be >= 1")
     weight: dict[Word, Fraction] = {w: Fraction(1)}
@@ -185,46 +185,6 @@ def wstar_n(w: Word, n: int, alphabet: Alphabet) -> dict[Word, Fraction]:
 
 # ---------------------------------------------------------------------------
 # n-representatives
-
-
-@dataclass(frozen=True)
-class NRep:
-    """The four-quadrant support decomposition of the n-representative."""
-
-    base: Word
-    n: int
-    Lplus: tuple[Word, ...]
-    Lminus: tuple[Word, ...]
-    M: Word
-    Rplus: tuple[Word, ...]
-    Rminus: tuple[Word, ...]
-
-    def plus_words(self) -> list[Word]:
-        return [multiply(l, self.M, r) for l in self.Lplus for r in self.Rplus] + [
-            multiply(l, self.M, r) for l in self.Lminus for r in self.Rminus
-        ]
-
-    def minus_words(self) -> list[Word]:
-        return [multiply(l, self.M, r) for l in self.Lplus for r in self.Rminus] + [
-            multiply(l, self.M, r) for l in self.Lminus for r in self.Rplus
-        ]
-
-    def as_sum(self) -> BrooksSum:
-        entries: dict[Word, Fraction] = {}
-        for u in self.plus_words():
-            entries[u] = entries.get(u, Fraction(0)) + 1
-        for u in self.minus_words():
-            entries[u] = entries.get(u, Fraction(0)) - 1
-        return brooks_sum(entries)
-
-
-def _middle_n(w: Word, n: int, alphabet: Alphabet) -> Word:
-    m = tau(w)
-    assert m is not None
-    for _ in range(n):
-        m = tau(apply_nielsen(NielsenGen.TINV, m, alphabet))
-        assert m is not None
-    return m
 
 
 def left_factors(m0: int, s1: int, n: int, alphabet: Alphabet) -> list[tuple[int, int, Word]]:
@@ -251,44 +211,21 @@ def left_factors(m0: int, s1: int, n: int, alphabet: Alphabet) -> list[tuple[int
 
 
 def right_factors(mk: int, sk: int, n: int, alphabet: Alphabet) -> list[tuple[int, int, Word]]:
-    """Indexed right factors dR_0 .. dR_n, mirroring left_factors."""
-    if mk == 0:
-        return [(0, 1, ())]
-    s_b = alphabet.s_b()
-    rows: list[tuple[int, int, Word]] = [(0, 1, b_power(mk))]
-    if mk > 0 and sk == A:
-        rows.extend(
-            (i, 1, b_power(mk - i) + (s,)) for i in range(1, n + 1) for s in s_b if s != -A
-        )
-    elif mk > 0:
-        rows.extend((i, -1, b_power(mk + i - 1) + (-A,)) for i in range(1, n + 1))
-    elif sk == A:
-        rows.extend(
-            (i, -1, b_power(mk - i + 1) + (s,)) for i in range(1, n + 1) for s in s_b if s != -A
-        )
-    else:
-        rows.extend((i, 1, b_power(mk + i) + (-A,)) for i in range(1, n + 1))
-    return rows
+    """Indexed right factors dR_0 .. dR_n: the left factors of (-mk, -sk), inverted."""
+    return [(i, sign, inverse(u)) for i, sign, u in left_factors(-mk, -sk, n, alphabet)]
 
 
-def nrep(w: Word, n: int, alphabet: Alphabet) -> NRep:
-    """Quadrant tables of the n-representative of phi_w (w not a b-power)."""
+def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
+    """The support product of the n-representative of phi_w (w not a b-power)."""
     if tau(w) is None:
         raise ValueError("b-powers have no quadrant tables")
     if n < 1:
         raise ValueError("n must be >= 1")
-    form = b_form(w)
-    lefts = left_factors(form.m0, form.s[0], n, alphabet)
-    rights = right_factors(form.mk, form.s[-1], n, alphabet)
-    return NRep(
-        base=w,
-        n=n,
-        Lplus=tuple(u for _, sign, u in lefts if sign > 0),
-        Lminus=tuple(u for _, sign, u in lefts if sign < 0),
-        M=_middle_n(w, n, alphabet),
-        Rplus=tuple(u for _, sign, u in rights if sign > 0),
-        Rminus=tuple(u for _, sign, u in rights if sign < 0),
-    )
+
+    def rows(m: int, s: int) -> Rows:
+        return tuple((u, sign) for _, sign, u in left_factors(m, s, n, alphabet))
+
+    return _product(w, _middle_n(w, n, alphabet), rows)
 
 
 def n_representative(w: Word, n: int, alphabet: Alphabet) -> BrooksSum:

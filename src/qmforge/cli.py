@@ -39,6 +39,7 @@ from .freegroup import (
     apply_nielsen,
     ball,
     ball_size,
+    check_radius,
     parse_word,
     word_str,
 )
@@ -411,6 +412,8 @@ _SUITES: dict[str, Callable[[Alphabet, Optional[int]], tuple[bool, str]]] = {
 def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
     names = list(_SUITES) if ns.suite in (None, "all") else [ns.suite]
     cap = getattr(ns, "radius", None)
+    if cap is not None:
+        check_radius(cap)
     lines = []
     results = []
     ok_all = True

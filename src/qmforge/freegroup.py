@@ -143,21 +143,21 @@ def word_str(w: Word) -> str:
 # Cayley balls
 
 
-def _check_radius(radius: int) -> None:
+def check_radius(radius: int) -> None:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
 def ball_size(rank: int, radius: int) -> int:
     """Closed-form number of reduced words of length <= radius."""
-    _check_radius(radius)
+    check_radius(radius)
     q = 2 * rank - 1
     return 1 + 2 * rank * (q**radius - 1) // (q - 1)
 
 
 def sphere(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """All reduced words of exactly the given length, in lex order."""
-    _check_radius(radius)
+    check_radius(radius)
     order = alphabet.letters()
 
     def extend(w: Word, remaining: int) -> Iterator[Word]:
@@ -173,7 +173,7 @@ def sphere(alphabet: Alphabet, radius: int) -> Iterator[Word]:
 
 def ball(alphabet: Alphabet, radius: int) -> Iterator[Word]:
     """All reduced words of length <= radius, level by level, lex in level."""
-    _check_radius(radius)
+    check_radius(radius)
     return (w for r in range(radius + 1) for w in sphere(alphabet, r))
 
 

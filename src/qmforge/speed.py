@@ -247,22 +247,22 @@ class SupportGeometry:
     e_b_nonempty: bool
 
 
-def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
-    if tau(w) is None:
-        raise ValueError("b-powers have no quadrant geometry")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    form = b_form(w)
-    rep = nrep(w, n, alphabet)
+def _length_by_index(rows: list[tuple[int, int, Word]]) -> dict[int, int]:
+    lengths: dict[int, int] = {}
+    for i, _, u in rows:
+        if lengths.setdefault(i, len(u)) != len(u):
+            raise ValueError(f"factor words of index {i} differ in length")
+    return lengths
 
-    left_len: dict[int, int] = {}
-    for i, _, u in left_factors(form.m0, form.s[0], n, alphabet):
-        assert left_len.setdefault(i, len(u)) == len(u)
-    right_len: dict[int, int] = {}
-    for j, _, u in right_factors(form.mk, form.s[-1], n, alphabet):
-        assert right_len.setdefault(j, len(u)) == len(u)
+
+def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
+    rep = nrep(w, n, alphabet)  # rejects b-powers and n < 1
+    form = b_form(w)
+
+    lefts = _length_by_index(left_factors(form.m0, form.s[0], n, alphabet))
+    rights = _length_by_index(right_factors(form.mk, form.s[-1], n, alphabet))
     squares = {
-        (i, j): li + len(rep.M) + rj for i, li in left_len.items() for j, rj in right_len.items()
+        (i, j): li + len(rep.middle) + rj for i, li in lefts.items() for j, rj in rights.items()
     }
 
     arms = [0]
@@ -279,7 +279,7 @@ def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
         base=w,
         n=n,
         kind=form.kind(),
-        middle=rep.M,
+        middle=rep.middle,
         square_lengths=squares,
         n_b=n_b,
         support_norm=support_norm,

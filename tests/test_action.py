@@ -6,6 +6,7 @@ import pytest
 
 from qmforge.action import (
     NielsenWord,
+    SupportProduct,
     act,
     act_perm_flip,
     left_factors,
@@ -19,9 +20,11 @@ from qmforge.counting import brooks_sum, evaluate, format_sum, norm, phi
 from qmforge.freegroup import Alphabet, NielsenGen, apply_nielsen, ball, parse_word
 
 from _corpus import corpus
+from _optimized import run_optimized
 
 AL = Alphabet(2)
 AL3 = Alphabet(3)
+AL4 = Alphabet(4)
 
 
 def w(text, alphabet=AL):
@@ -68,17 +71,50 @@ def test_act_of_flip_on_rot():
 # -- the one-step T^-1 support table ----------------------------------------------
 
 
-def test_tinv_one_step_is_pointwise_exact_on_corpus():
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_tinv_one_step_is_pointwise_exact_on_corpus(rank):
+    """Both ends of the one-step table, the right end derived by inversion."""
     from qmforge.freegroup import tau
 
-    words = [v for v in corpus(AL) if tau(v) is not None][:20]
+    alphabet = Alphabet(rank)
+    if rank == 2:
+        words, radius = [v for v in corpus(AL) if tau(v) is not None][:20], 5
+    else:
+        keys = ball(alphabet, 3 if rank == 3 else 2)
+        words, radius = [v for v in keys if v and tau(v) is not None], 3
     for base in words:
         f = phi(base)
-        g = act(NielsenGen.TINV, f, AL)
-        for v in ball(AL, 5):
+        g = act(NielsenGen.TINV, f, alphabet)
+        for v in ball(alphabet, radius):
             # T^-1[f](v) = f(T(v)): acting by x evaluates against x^-1
-            pre = apply_nielsen(NielsenGen.T, v, AL)
+            pre = apply_nielsen(NielsenGen.T, v, alphabet)
             assert evaluate(g, v) == evaluate(f, pre), (base, v)
+
+
+def test_support_product_rejects_cancellation():
+    # a . a'b . e reduces to b, shorter than the three factors together
+    product = SupportProduct(
+        base=w("a'b"), left=((w("a"), 1),), middle=w("a'b"), right=(((), 1),)
+    )
+    with pytest.raises(ValueError, match="support of a'b cancels to b"):
+        product.weight()
+
+
+def test_cancelling_support_exits_3_naming_action_under_python_O():
+    script = (
+        "import qmforge.action as action\n"
+        "from qmforge.cli import main\n"
+        "from qmforge.freegroup import Alphabet, parse_word\n"
+        "al = Alphabet(2)\n"
+        "bad = action.SupportProduct(\n"
+        "    base=parse_word(\"a'b\", al), left=((parse_word('a', al), 1),),\n"
+        "    middle=parse_word(\"a'b\", al), right=(((), 1),))\n"
+        "action.w1_support = lambda w, alphabet: bad\n"
+        "raise SystemExit(main(['act', 'Tinv', 'phi(ab)']))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.strip() == "qmforge: contract violation in action: support of a'b cancels to b"
 
 
 def test_w1_support_rejects_b_powers():
@@ -123,11 +159,20 @@ def test_n_representative_of_phi_ba_is_frozen():
     assert format_sum(rep) == "phi(aa) - phi(a'b') + phi(ab'a) + phi(ab'b'a)"
 
 
+def test_n_representative_at_rank_three_is_frozen():
+    # cabb ends in (mk, sk) = (2, a): its right factors carry c and c'
+    rep = n_representative(w("cabb", AL3), 2, AL3)
+    assert format_sum(rep) == (
+        "-phi(a'a'c') + phi(cac) + phi(cac') - phi(a'b'a'c') - phi(b'b'a'c')"
+        " + phi(cabc) + phi(cabc')"
+    )
+
+
 def test_n_representative_middle_stretches_a_runs():
     r = nrep(w("a'a'"), 4, AL)
-    assert r.M == w("a'bbbba'")
+    assert r.middle == w("a'bbbba'")
     r2 = nrep(w("aba'"), 2, AL)
-    assert r2.M == w("aba'")  # aba' is T-invariant, so nothing stretches
+    assert r2.middle == w("aba'")  # aba' is T-invariant, so nothing stretches
 
 
 def test_n_representative_of_b_is_a_homomorphism_ray():

@@ -241,8 +241,13 @@ def test_verify_passes_at_ranks_2_to_4(capsys, rank):
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "rot", "--radius", "-1"], ["verify", "counting", "--radius", "-1"], ["ball", "-1"]],
-    ids=["verify-rot", "verify-counting", "ball"],
+    [
+        ["verify", "rot", "--radius", "-1"],
+        ["verify", "counting", "--radius", "-1"],
+        ["verify", "norm", "--radius", "-1"],
+        ["ball", "-1"],
+    ],
+    ids=["verify-rot", "verify-counting", "verify-norm", "ball"],
 )
 def test_negative_radius_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)

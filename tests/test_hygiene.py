@@ -1,4 +1,4 @@
-"""Code hygiene: no unused imports and no dead definitions.
+"""Code hygiene: no unused imports, no dead definitions, no asserts that act.
 
 There is no linter in the toolchain, so these checks walk syntax trees with
 ``ast``.  Every name a module of the package (except the re-exporting
@@ -7,7 +7,9 @@ top-level function, class and assignment of the package, and every method
 that is not a dunder, must be read somewhere in ``src/``, ``tests/`` or
 ``bench/``: as a loaded ``Name`` or as the attribute of an ``Attribute``.
 The second check goes by name only, so a definition whose name is also read
-for an unrelated object escapes it.
+for an unrelated object escapes it.  No ``assert`` in the package may bind a
+name or call a mutating method in its test, because ``python -O`` strips the
+whole statement and the effect with it.
 """
 
 from __future__ import annotations
@@ -98,3 +100,43 @@ def test_every_definition_is_used():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {module: names for module, names in dead.items() if names} == {}
+
+
+MUTATORS = {
+    "setdefault", "pop", "append", "extend", "update", "add",
+    "remove", "insert", "clear", "popitem", "discard",
+}
+
+
+def _acting_asserts(source: str) -> list[int]:
+    """Lines of asserts whose test contains a walrus or a mutating method call."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert) and any(
+            isinstance(sub, ast.NamedExpr)
+            or (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in MUTATORS
+            )
+            for sub in ast.walk(node.test)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_an_acting_assert():
+    source = (
+        "d, xs = {}, []\n"
+        "assert d.setdefault(1, 2) == 2\n"
+        "assert (n := len(xs)) == 0\n"
+        "assert d.get(1) == 2, xs.append(0)\n"
+        "assert len(xs.copy()) == 0\n"
+        "if d.setdefault(3, 4) != 4:\n    raise ValueError\n"
+    )
+    assert _acting_asserts(source) == [2, 3]
+
+
+def test_no_assert_acts():
+    acting = {path.name: _acting_asserts(path.read_text()) for path in MODULES}
+    assert {module: lines for module, lines in acting.items() if lines} == {}

@@ -19,6 +19,7 @@ from qmforge.speed import (
 )
 
 from _corpus import random_brooks_sum
+from _optimized import run_optimized
 
 AL = Alphabet(2)
 
@@ -204,6 +205,24 @@ def test_support_geometry_frozen_grid():
     assert geo.n_b == 11
     assert geo.support_norm == 16
     assert geo.e_b_nonempty
+
+
+def test_support_geometry_frozen_grid_under_python_O():
+    """The length grid is built outside any assert, so -O leaves it whole."""
+    script = (
+        "from qmforge.freegroup import Alphabet, parse_word\n"
+        "from qmforge.speed import support_geometry\n"
+        "al = Alphabet(2)\n"
+        "geo = support_geometry(parse_word('babb', al), 8, al)\n"
+        "print(sorted(geo.square_lengths.items()), geo.n_b, geo.support_norm, geo.e_b_nonempty)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    geo = support_geometry(w("babb"), 8, AL)
+    assert len(geo.square_lengths) == 81
+    assert geo.square_lengths[(0, 0)] == 4 and geo.square_lengths[(8, 8)] == 16
+    expected = f"{sorted(geo.square_lengths.items())} 11 16 True"
+    assert proc.stdout.strip() == expected
 
 
 def test_support_geometry_of_truncated_words():
