@@ -156,14 +156,25 @@ def as_counting(f: BrooksSum) -> BrooksSum:
     return BrooksSum({v: c for v, c in out.items() if c != 0}, Mode.COUNTING)
 
 
+def _window_sum(weight: dict[Word, Rational], lengths: set[int], w: Word) -> Rational:
+    """Sum of weight[u] over the windows u of w whose length is a key length."""
+    get, n = weight.get, len(w)
+    hits = (get(w[i : i + k]) for k in lengths for i in range(n - k + 1))
+    return sum(filter(None, hits), Fraction(0))
+
+
 def evaluate(f: BrooksSum, w: Word) -> Rational:
-    total = Fraction(0)
-    if f.mode is Mode.COUNTING:
-        for v, c in f.weight.items():
-            total += c * count_subword(v, w)
-    else:
-        for v, c in f.weight.items():
-            total += c * (count_subword(v, w) - count_subword(inverse(v), w))
+    """f(w), with one weight lookup per window of w of each key length.
+
+    The occurrences of v^-1 in w are those of v in w^-1, so a Brooks sum is
+    the window sum over w minus the one over w^-1.
+    """
+    lengths = {len(v) for v in f.weight}
+    if 0 in lengths:
+        raise ValueError("the identity has no counting function")
+    total = _window_sum(f.weight, lengths, w)
+    if f.mode is Mode.BROOKS:
+        total -= _window_sum(f.weight, lengths, inverse(w))
     return total
 
 

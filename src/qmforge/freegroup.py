@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, Optional
 
 Word = tuple[int, ...]
@@ -287,28 +288,38 @@ class NielsenGen(Enum):
     TINV = "Tinv"
 
 
-def _gen_image(gen: NielsenGen, i: int, rank: int) -> Word:
+@lru_cache(maxsize=None)
+def _letter_images(gen: NielsenGen, rank: int) -> dict[int, Word]:
+    """The image of every signed letter of the given rank under gen."""
+    images = {i: (i,) for i in range(1, rank + 1)}
     if gen is NielsenGen.P1:
-        if i == 1:
-            return (2,)
-        if i == 2:
-            return (1,)
-        return (i,)
-    if gen is NielsenGen.P2:
-        return (i % rank + 1,)
-    if gen is NielsenGen.H:
-        return (-1,) if i == 1 else (i,)
-    if gen is NielsenGen.T:
-        return (1, 2) if i == 1 else (i,)
-    if gen is NielsenGen.TINV:
-        return (1, -2) if i == 1 else (i,)
-    raise ValueError(gen)
+        images[1], images[2] = (2,), (1,)
+    elif gen is NielsenGen.P2:
+        images = {i: (i % rank + 1,) for i in images}
+    elif gen is NielsenGen.H:
+        images[1] = (-1,)
+    elif gen is NielsenGen.T:
+        images[1] = (1, 2)
+    else:
+        images[1] = (1, -2)
+    images.update({-i: inverse(img) for i, img in images.items()})
+    return images
 
 
 def apply_nielsen(gen: NielsenGen, w: Word, alphabet: Alphabet) -> Word:
-    """Image of a word under one elementary Nielsen transformation."""
-    letters: list[int] = []
+    """Image of a word under one elementary Nielsen transformation.
+
+    The letter images are freely reduced on one stack as they are appended.
+    """
+    images = _letter_images(gen, alphabet.rank)
+    stack: list[int] = []
     for x in w:
-        img = _gen_image(gen, abs(x), alphabet.rank)
-        letters.extend(img if x > 0 else inverse(img))
-    return free_reduce(letters)
+        img = images.get(x)
+        if img is None:
+            raise ValueError(f"letter {x} is not in the alphabet of rank {alphabet.rank}")
+        for y in img:
+            if stack and stack[-1] == -y:
+                stack.pop()
+            else:
+                stack.append(y)
+    return tuple(stack)

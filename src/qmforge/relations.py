@@ -287,7 +287,8 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     trace = trace + trace2 + trace3
 
     ok, violation = is_normal_form(current, alphabet)
-    assert ok, f"normal form postcondition violated: {violation}"
+    if not ok:
+        raise ValueError(f"normal form postcondition violated: {violation}")
     return current, trace
 
 

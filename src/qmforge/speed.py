@@ -185,7 +185,8 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
     lam = mid.coefficient((A, B))
     residue = mid - rot(alphabet).scale(lam)
     ok, violation = is_normal_form(residue, alphabet)
-    assert ok, violation
+    if not ok:
+        raise ValueError(str(violation))
     return lam, residue, trace
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmforge.counting import (
+    BrooksSum,
     LengthStatus,
     Mode,
     as_counting,
@@ -101,6 +102,24 @@ def test_evaluate_examples():
     assert evaluate(f, w("aab")) == 5 - 3 + 1
     assert evaluate(phi(w("ab")), w("ab")) == 1
     assert evaluate(phi(w("ab")), w("b'a'")) == -1
+
+
+def test_evaluate_counts_overlapping_windows():
+    assert evaluate(count_term(w("aa")), w("aaaa")) == 3
+    assert evaluate(phi(w("aa")), w("a'a'a'a'")) == -3
+    assert evaluate(counting_sum({w("aba"): 2, w("ab"): 1}), w("ababa")) == 2 * 2 + 2
+    assert evaluate(count_term(w("aaa")), w("aa")) == 0
+
+
+def test_evaluate_of_the_zero_sum_is_an_exact_zero():
+    assert evaluate(zero(), w("ab")) == 0 and isinstance(evaluate(zero(), w("ab")), Fraction)
+    assert isinstance(evaluate(BrooksSum({w("a"): 1}, Mode.COUNTING), w("a")), Fraction)
+
+
+def test_evaluate_rejects_a_hand_built_identity_key():
+    for mode in Mode:
+        with pytest.raises(ValueError, match="the identity has no counting function"):
+            evaluate(BrooksSum({(): Fraction(1)}, mode), w("ab"))
 
 
 def test_norm_is_top_key_length():

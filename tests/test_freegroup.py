@@ -167,23 +167,60 @@ def test_apply_nielsen_word_composes_left_to_right():
         assert NielsenWord(gens).word(v, AL) == apply_nielsen(NielsenGen.TINV, step, AL)
 
 
-def test_nielsen_images_are_automorphic():
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_nielsen_images_are_automorphic(rank):
     """Images must respect products: X(uv) = X(u)X(v) after reduction."""
+    alphabet = Alphabet(rank)
     rng = random.Random(3)
-    vs = [random_word(rng, 5) for _ in range(25)]
+    vs = [random_word(rng, 5, alphabet) for _ in range(25)]
     for gen in NielsenGen:
         for u in vs[:8]:
             for v in vs[8:16]:
-                lhs = apply_nielsen(gen, multiply(u, v), AL)
-                rhs = multiply(apply_nielsen(gen, u, AL), apply_nielsen(gen, v, AL))
+                lhs = apply_nielsen(gen, multiply(u, v), alphabet)
+                rhs = multiply(apply_nielsen(gen, u, alphabet), apply_nielsen(gen, v, alphabet))
                 assert lhs == rhs
 
 
-def random_word(rng, max_len):
+def random_word(rng, max_len, alphabet=AL):
     out = []
     for _ in range(rng.randint(0, max_len)):
-        x = rng.choice([A, -A, B, -B])
+        x = rng.choice(alphabet.letters())
         if out and x == -out[-1]:
             continue
         out.append(x)
     return tuple(out)
+
+
+def _reference_image(gen, v, rank):
+    """X(v) from the generator images of NielsenGen's docstring, reduced afterwards."""
+    moved = {
+        NielsenGen.P1: {1: (2,), 2: (1,)},
+        NielsenGen.P2: {i: (i % rank + 1,) for i in range(1, rank + 1)},
+        NielsenGen.H: {1: (-1,)},
+        NielsenGen.T: {1: (1, 2)},
+        NielsenGen.TINV: {1: (1, -2)},
+    }[gen]
+    letters = []
+    for x in v:
+        image = moved.get(abs(x), (abs(x),))
+        letters.extend(image if x > 0 else inverse(image))
+    return free_reduce(letters)
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 6), (3, 4), (4, 3)])
+def test_apply_nielsen_matches_letter_by_letter_reference(rank, radius):
+    alphabet = Alphabet(rank)
+    for gen in NielsenGen:
+        for v in ball(alphabet, radius):
+            assert apply_nielsen(gen, v, alphabet) == _reference_image(gen, v, rank), (gen, v)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_apply_nielsen_rejects_letters_outside_the_alphabet(rank):
+    alphabet = Alphabet(rank)
+    for gen in NielsenGen:
+        for x in (0, rank + 1, -(rank + 1)):
+            for v in ((x,), (1, x), (x, -x)):
+                message = f"letter {x} is not in the alphabet of rank {rank}"
+                with pytest.raises(ValueError, match=message):
+                    apply_nielsen(gen, v, alphabet)

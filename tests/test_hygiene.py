@@ -1,4 +1,5 @@
-"""Code hygiene: no unused imports, no dead definitions, no asserts that act.
+"""Code hygiene: no unused imports, no dead definitions, no asserts that act,
+and an oracle that shares no code with what it referees.
 
 There is no linter in the toolchain, so these checks walk syntax trees with
 ``ast``.  Every name a module of the package (except the re-exporting
@@ -9,7 +10,10 @@ that is not a dunder, must be read somewhere in ``src/``, ``tests/`` or
 The second check goes by name only, so a definition whose name is also read
 for an unrelated object escapes it.  No ``assert`` in the package may bind a
 name or call a mutating method in its test, because ``python -O`` strips the
-whole statement and the effect with it.
+whole statement and the effect with it.  ``oracle.py`` may import neither the
+fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``) nor any
+module of the algebra it checks (``relations``, ``action``, ``speed``,
+``fixpoints``).
 """
 
 from __future__ import annotations
@@ -140,3 +144,41 @@ def test_the_check_sees_an_acting_assert():
 def test_no_assert_acts():
     acting = {path.name: _acting_asserts(path.read_text()) for path in MODULES}
     assert {module: lines for module, lines in acting.items() if lines} == {}
+
+
+REFEREED_NAMES = {"evaluate", "count_subword", "apply_nielsen"}
+REFEREED_MODULES = {"relations", "action", "speed", "fixpoints"}
+
+
+def _refereed_imports(source: str) -> list[str]:
+    """Names and modules of the checked code that an oracle source imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            parts = path.split(".")
+            found.extend(p for p in parts if p in REFEREED_MODULES)
+            if parts[-1] in REFEREED_NAMES:
+                found.append(parts[-1])
+    return found
+
+
+def test_the_check_sees_an_oracle_import_of_checked_code():
+    source = (
+        "from .counting import BrooksSum, evaluate\n"
+        "from .freegroup import ball\n"
+        "from .relations import normal_form\n"
+        "from . import action\n"
+        "import qmforge.speed\n"
+        "def f():\n    from .freegroup import apply_nielsen\n"
+    )
+    assert _refereed_imports(source) == ["evaluate", "relations", "action", "speed", "apply_nielsen"]
+
+
+def test_the_oracle_imports_none_of_the_code_it_checks():
+    assert _refereed_imports((PACKAGE / "oracle.py").read_text()) == []

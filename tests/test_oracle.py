@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import brooks_sum, counting_sum, evaluate, phi
-from qmforge.freegroup import Alphabet, ball, parse_word
+from qmforge.action import n_representative
+from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi
+from qmforge.freegroup import Alphabet, ball, multiply, parse_word
 from qmforge.oracle import (
     PASS,
     Verdict,
@@ -20,7 +21,7 @@ from qmforge.oracle import (
 )
 from qmforge.counting import count_subword
 
-from _corpus import random_brooks_sum
+from _corpus import random_brooks_sum, random_reduced_word
 
 AL = Alphabet(2)
 
@@ -42,6 +43,43 @@ def test_brute_evaluate_matches_evaluate():
         f = random_brooks_sum(rng, AL)
         for u in ball(AL, 4):
             assert brute_evaluate(f, u) == evaluate(f, u)
+
+
+def _long_key_sums(rng, alphabet):
+    """Counting and Brooks sums whose keys reach length 7, longer than many ball words."""
+    sums = []
+    for make in (counting_sum, brooks_sum) * 4:
+        keys = {
+            random_reduced_word(rng, alphabet, rng.randint(1, 7)): Fraction(
+                rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
+            )
+            for _ in range(rng.randint(1, 8))
+        }
+        sums.append(make(keys))
+    return sums
+
+
+# (rank, ball radius, base word of the n-representatives)
+DIFFERENTIAL_CASES = [(2, 6, "a'bab"), (3, 4, "cab"), (4, 3, "dab'cb")]
+
+
+@pytest.mark.parametrize("rank,radius,base", DIFFERENTIAL_CASES)
+def test_evaluate_matches_brute_evaluate_at_ranks_2_to_4(rank, radius, base):
+    alphabet = Alphabet(rank)
+    sums = _long_key_sums(random.Random(rank), alphabet)
+    sums += [counting_sum({parse_word("aa", alphabet): 1}), phi(parse_word("aa", alphabet))]
+    sums += [
+        as_counting(n_representative(parse_word(base, alphabet), n, alphabet))
+        for n in (1, 2, 4, 8)
+    ]
+    rng = random.Random(-rank)
+    words = list(ball(alphabet, radius))
+    for f in sums:
+        # products of keys are longer than the ball and hold every key length
+        keys = list(f.weight)
+        products = [multiply(*rng.choices(keys, k=3)) for _ in range(30)]
+        for u in words + products:
+            assert evaluate(f, u) == brute_evaluate(f, u), (f, u)
 
 
 def test_sup_on_ball_reports_first_maximizer():

@@ -20,6 +20,7 @@ from qmforge.relations import (
 )
 
 from _corpus import random_brooks_sum
+from _optimized import run_optimized
 
 AL = Alphabet(2)
 
@@ -185,6 +186,22 @@ def test_is_normal_form_flags_violations():
     g = phi(w("bb"))
     ok, violation = is_normal_form(g, AL)
     assert not ok and violation is not None and violation.condition == 1
+
+
+def test_violated_normal_form_exits_3_naming_relations_under_python_O():
+    script = (
+        "import qmforge.relations as relations\n"
+        "from qmforge.cli import main\n"
+        "violation = relations.NormalFormViolation(2, (1, 2), (1, 2, 2))\n"
+        "relations.is_normal_form = lambda f, alphabet: (False, violation)\n"
+        "raise SystemExit(main(['normal-form', 'phi(bbab)']))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "qmforge: contract violation in relations: normal form postcondition violated: "
+        "NormalFormViolation(condition=2, v=(1, 2), w=(1, 2, 2))"
+    )
 
 
 def test_normal_form_bounds_difference_by_relations():

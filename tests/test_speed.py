@@ -225,6 +225,24 @@ def test_support_geometry_frozen_grid_under_python_O():
     assert proc.stdout.strip() == expected
 
 
+def test_violated_residue_exits_3_naming_speed_under_python_O():
+    """speed(phi(ba)) runs the column rewrite, whose residue is checked again."""
+    script = (
+        "import importlib\n"
+        "from qmforge.cli import main\n"
+        "from qmforge.relations import NormalFormViolation\n"
+        "speed = importlib.import_module('qmforge.speed')\n"
+        "violation = NormalFormViolation(1, (2, 2), None)\n"
+        "speed.is_normal_form = lambda f, alphabet: (False, violation)\n"
+        "raise SystemExit(main(['speed', 'phi(ba)']))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "qmforge: contract violation in speed: NormalFormViolation(condition=1, v=(2, 2), w=None)"
+    )
+
+
 def test_support_geometry_of_truncated_words():
     geo = support_geometry(w("aba"), 3, AL)
     assert geo.n_b == 0
