@@ -78,7 +78,8 @@ def exclude_fixpoint(
     or more letters; an a-free skeleton (cycled onto b and retried); and
     finally the homomorphism coefficient vector.
     """
-    assert _depth <= alphabet.rank + 1, "case dispatch failed to terminate"
+    if _depth > alphabet.rank + 1:
+        raise ValueError("case dispatch failed to terminate")
     nf, _ = normal_form(f, alphabet)
     if nf.is_zero():
         raise ValueError("the zero class is fixed by everything")
@@ -101,7 +102,8 @@ def exclude_fixpoint(
         # Rank 2, the rot line itself: H negates the rot coefficient, which
         # is all the moving that can be certified by speed alone.
         flipped = speed_decompose(act(NielsenGen.H, f, alphabet), alphabet)[0]
-        assert flipped == -rep.rot_coefficient != rep.rot_coefficient
+        if flipped != -rep.rot_coefficient or flipped == rep.rot_coefficient:
+            raise ValueError("H failed to flip the rot coefficient")
         return ExclusionWitness(
             X=NielsenWord((NielsenGen.H,)),
             kind=EvidenceKind.ROT_SIGN_FLIP,
@@ -119,7 +121,8 @@ def exclude_fixpoint(
     ]
     if mixed:
         moved = speed(act(NielsenGen.H, f, alphabet), alphabet)
-        assert moved.value >= 1, "mixed-skeleton word failed to leave O under H"
+        if moved.value < 1:
+            raise ValueError("mixed-skeleton word failed to leave O under H")
         return ExclusionWitness(
             X=NielsenWord((NielsenGen.H,)),
             kind=EvidenceKind.POSITIVE_SPEED,
@@ -130,7 +133,8 @@ def exclude_fixpoint(
     a_only = [v for v in long_keys if all(abs(s) == A for s in _skeleton(v))]
     if a_only:
         moved = speed(act(NielsenGen.P1, f, alphabet), alphabet)
-        assert moved.value >= 1, "all-a skeleton failed to gain speed under P1"
+        if moved.value < 1:
+            raise ValueError("all-a skeleton failed to gain speed under P1")
         return ExclusionWitness(
             X=NielsenWord((NielsenGen.P1,)),
             kind=EvidenceKind.POSITIVE_SPEED,
@@ -143,7 +147,8 @@ def exclude_fixpoint(
         # one onto b and rerun the dispatch on the image.
         w0 = min(long_keys, key=word_sort_key)
         j = (B - abs(_skeleton(w0)[0])) % alphabet.rank
-        assert j >= 1
+        if j < 1:
+            raise ValueError("the leading skeleton letter is already b")
         shift = NielsenWord((NielsenGen.P2,) * j)
         inner = exclude_fixpoint(act(shift, f, alphabet), alphabet, _depth + 1)
         return replace(inner, X=NielsenWord(shift.gens + inner.X.gens))
@@ -153,13 +158,16 @@ def exclude_fixpoint(
         x = NielsenWord((NielsenGen.TINV,))
     else:
         nonzero = [i for i, c in before.items() if c != 0]
-        assert nonzero, "nonzero normal form with an empty coefficient vector"
+        if not nonzero:
+            raise ValueError("nonzero normal form with an empty coefficient vector")
         j = min((B - i) % alphabet.rank for i in nonzero)
-        assert j >= 1
+        if j < 1:
+            raise ValueError("the coefficient vector is already on b")
         x = NielsenWord((NielsenGen.P2,) * j + (NielsenGen.TINV,))
     moved_nf, _ = normal_form(act(x, f, alphabet), alphabet)
     after = _hom_vector(moved_nf, alphabet)
-    assert after != before, "T^-1 left the coefficient vector unchanged"
+    if after == before:
+        raise ValueError("T^-1 left the coefficient vector unchanged")
     return ExclusionWitness(
         X=x,
         kind=EvidenceKind.HOM_COEFFICIENT_CHANGE,

@@ -50,18 +50,26 @@ class Alphabet:
         """S_b: every letter except b and b' (index 2)."""
         return [x for x in self.letters() if abs(x) != 2]
 
+    def check_word(self, w: Word) -> None:
+        """Raise ValueError naming the first letter of w outside this alphabet."""
+        for x in w:
+            if not 1 <= abs(x) <= self.rank:
+                raise ValueError(f"letter {x} is not in the alphabet of rank {self.rank}")
+
 
 A = 1
 B = 2
 
 
-def letter_key(x: int) -> tuple[int, int]:
-    return (abs(x), 0 if x > 0 else 1)
+# The rank of each letter in the order a < a' < b < b' < ...: 2|x| + (x < 0).
+_LETTER_RANK = {
+    x: 2 * abs(x) + (x < 0) for i in range(1, len(_LETTER_NAMES) + 1) for x in (i, -i)
+}
 
 
-def word_sort_key(w: Word) -> tuple[int, tuple[tuple[int, int], ...]]:
+def word_sort_key(w: Word) -> tuple[int, tuple[int, ...]]:
     """(length, lex) key; the global canonical order on reduced words."""
-    return (len(w), tuple(letter_key(x) for x in w))
+    return (len(w), tuple(map(_LETTER_RANK.__getitem__, w)))
 
 
 def is_reduced(w: Word) -> bool:

@@ -80,7 +80,8 @@ def sup_on_ball(f: Evaluable, radius: int, alphabet: Alphabet) -> BallReport:
         value = abs(func(w))
         if value > sup:
             sup, argmax = value, w
-    assert count == ball_size(alphabet.rank, radius)
+    if count != ball_size(alphabet.rank, radius):
+        raise ValueError(f"the ball of radius {radius} has {count} words, not the closed form's")
     return BallReport(radius, sup, argmax, count)
 
 

@@ -17,7 +17,8 @@ a trace of (kind, base, coefficient) entries certifies
 input - output = traced combination, symbolically and with zero tolerance.
 A single walk serves both ends of a key: the side it moves (RIGHT for the
 trailing exponent, LEFT for the leading one) is also the kind that leads
-each relation pair it consumes.
+each relation pair it consumes.  The keys of one column (one core, many
+exponents) share one walk, so phi(b^m) costs O(m) steps, not O(m^2).
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -197,6 +198,40 @@ class _Rewriter:
             self.emit(_attach(side, base, (s,)), c)
         return m + sgn, c
 
+    def sweep(
+        self, side: RelationKind, core: Word, members: list[tuple[int, Fraction]], m_to: int
+    ) -> Fraction:
+        """Walk the keys c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT),
+        one per member (m, c), to exponent m_to; return the target's
+        coefficient, which is not emitted.
+
+        Each side of m_to is walked once, from its most extreme exponent
+        inwards, and a member joins the carrier when the walk reaches its
+        exponent.  Steps are linear in the carrier, so weight and trace sum
+        to those of the one-member walks; ranges where the carrier is zero
+        are skipped, so no step has coefficient 0.
+        """
+        if m_to == 0:
+            raise ValueError("exponents must be nonzero")
+        at: dict[int, Fraction] = {}
+        for m, c in members:
+            if m == 0:
+                raise ValueError("exponents must be nonzero")
+            at[m] = at.get(m, Fraction(0)) + c
+        total = at.pop(m_to, Fraction(0))
+        for above in (True, False):
+            stops = sorted((m for m in at if (m > m_to) == above), reverse=above)
+            carrier = Fraction(0)
+            for m, stop in zip(stops, stops[1:] + [m_to]):
+                carrier += at[m]
+                while carrier and m != stop:
+                    if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
+                        m, carrier = self._grow(side, core, m, carrier)
+                    else:
+                        m, carrier = self._strip(side, core, m, carrier)
+            total += carrier
+        return total
+
     def retarget(
         self, side: RelationKind, core: Word, m_from: int, m_to: int, c: Fraction
     ) -> None:
@@ -210,15 +245,8 @@ class _Rewriter:
         its own exponent at the other end.  The carrier sign flips exactly
         when the walk crosses zero.
         """
-        if m_from == 0 or m_to == 0:
-            raise ValueError("exponents must be nonzero")
-        m, coeff = m_from, c
-        while m != m_to:
-            if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
-                m, coeff = self._grow(side, core, m, coeff)
-            else:
-                m, coeff = self._strip(side, core, m, coeff)
-        self.emit(_attach(side, core, b_power(m_to)), coeff)
+        target = _attach(side, core, b_power(m_to))
+        self.emit(target, self.sweep(side, core, [(m_from, c)], m_to))
 
 
 def retarget_power(
@@ -249,16 +277,19 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
     """Equivalent sum whose only b-power key is b itself.
 
     Each canonical key b^m (m >= 2) unwinds along
-    phi(b^m) ~ phi(b) - sum_{i=1..m-1} sum_{s in S_b} phi(b^i s).
+    phi(b^m) ~ phi(b) - sum_{i=1..m-1} sum_{s in S_b} phi(b^i s),
+    all of them in one walk down from the largest m.
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("b-power elimination applies to Brooks sums")
     rewriter = _Rewriter(alphabet)
+    powers: list[tuple[int, Fraction]] = []
     for v, c in f.weight.items():
-        if tau(v) is None and len(v) >= 2:
-            rewriter.retarget(RelationKind.RIGHT, (), len(v), 1, c)
+        if tau(v) is None:
+            powers.append((len(v), c))
         else:
             rewriter.emit(v, c)
+    rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), powers, 1))
     return rewriter.result()
 
 
@@ -281,6 +312,8 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("normal form applies to Brooks sums")
+    for v in f.weight:
+        alphabet.check_word(v)
     current, trace = eliminate_b_powers(f, alphabet)
     current, trace2 = _merge_boxes(current, alphabet)
     current, trace3 = _merge_columns(current, alphabet)
@@ -315,16 +348,17 @@ def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTr
                 word_sort_key(b_power(pqc[0]) + skel + b_power(pqc[1])),
             ),
         )
+        # The left walks of one right exponent q share the core skel b^q;
+        # the right walks then all share the core b^p_t skel.
+        by_q: dict[int, list[tuple[int, Fraction]]] = {}
         for p, q, c in members:
-            inner = _Rewriter(alphabet)
-            inner.retarget(RelationKind.LEFT, skel + b_power(q), p, p_t, c)
-            rewriter.steps.extend(inner.steps)
-            for w, cw in inner.weight.items():
-                form = b_form(w)
-                if form.kind() is Kind.B_AND_B and form.m0 == p_t and tau(w) == skel:
-                    rewriter.retarget(RelationKind.RIGHT, b_power(p_t) + skel, form.mk, q_t, cw)
-                else:
-                    rewriter.emit(w, cw)
+            by_q.setdefault(q, []).append((p, c))
+        rights = [
+            (q, rewriter.sweep(RelationKind.LEFT, skel + b_power(q), lefts, p_t))
+            for q, lefts in by_q.items()
+        ]
+        core = b_power(p_t) + skel
+        rewriter.emit(core + b_power(q_t), rewriter.sweep(RelationKind.RIGHT, core, rights, q_t))
     return rewriter.result()
 
 
@@ -354,8 +388,7 @@ def _merge_columns(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rewrite
             (m for m, _ in members),
             key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)),
         )
-        for m, c in members:
-            rewriter.retarget(RelationKind.LEFT, skel, m, m_t, c)
+        rewriter.emit(b_power(m_t) + skel, rewriter.sweep(RelationKind.LEFT, skel, members, m_t))
     return rewriter.result()
 
 

@@ -45,7 +45,6 @@ from .freegroup import (
     Word,
     b_form,
     inverse,
-    kind_of,
     tau,
     word_sort_key,
 )
@@ -71,14 +70,15 @@ def sp_word(w: Word) -> int:
     """
     if not w:
         raise ValueError("the identity has no word speed")
-    if tau(w) is None:
+    form = b_form(w)
+    if not form.s:
         if len(w) == 1:
             return 0
         raise ValueError("phi of a proper b-power is not speed reduced; decompose first")
-    s = b_form(w).s
+    s = form.s
     plus = sum(1 for j in range(len(s) - 1) if s[j] != A and s[j + 1] == -A)
     minus = sum(1 for j in range(len(s) - 1) if s[j] == A and s[j + 1] != -A)
-    return plus + minus + _KIND_OFFSET[kind_of(w)]
+    return plus + minus + _KIND_OFFSET[form.kind()]
 
 
 def in_O(w: Word) -> bool:
@@ -131,13 +131,12 @@ class SpeedReport:
     trace: RewriteTrace
 
 
-def _max_sp(f: BrooksSum) -> int:
-    return max((sp_word(v) for v in f.weight), default=0)
-
-
-def _top_speed_set(f: BrooksSum) -> list[Word]:
-    top = _max_sp(f)
-    return sorted((v for v in f.weight if sp_word(v) == top), key=word_sort_key)
+def _top_speeds(f: BrooksSum) -> tuple[int, list[Word]]:
+    """The top word speed over the support (0 when empty) and the keys that
+    reach it, in (length, lex) order."""
+    speeds = {v: sp_word(v) for v in f.weight}
+    top = max(speeds.values(), default=0)
+    return top, sorted((v for v, sp in speeds.items() if sp == top), key=word_sort_key)
 
 
 def _is_edge_column(v: Word) -> bool:
@@ -193,33 +192,36 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
 def speed_decompose(
     f: BrooksSum, alphabet: Alphabet
 ) -> tuple[Fraction, BrooksSum, RewriteTrace]:
-    """An equivalent lambda*rot + g with g in normal form and speed reduced.
+    """An equivalent lambda*rot + g with g in normal form and speed reduced:
+    the decomposition that speed reads its value from.
 
-    The trace replays the input into rot.scale(lambda) + g exactly.  When the
-    top-speed set of the normal form is already conclusive the rot part is 0;
-    otherwise the column rewrite runs, and in the borderline case (top-speed
-    keys of both column and b-truncated shape) its result is kept only if it
-    strictly lowers the top speed.
+    The trace replays the input into rot.scale(lambda) + g exactly.
     """
-    nf, trace = normal_form(f, alphabet)
-    if nf.is_zero():
-        return Fraction(0), nf, trace
-    top = _top_speed_set(nf)
-    if sp_word(top[0]) == 0 or _reduced_as_given(top):
-        return Fraction(0), nf, trace
-    lam, residue, extra = _absorb_columns(nf, alphabet)
-    if all(_is_edge_column(v) for v in top) or _max_sp(residue) < _max_sp(nf):
-        return lam, residue, trace + extra
-    return Fraction(0), nf, trace
+    rep = speed(f, alphabet)
+    return rep.rot_coefficient, rep.residue, rep.trace
 
 
 def speed(f: BrooksSum, alphabet: Alphabet) -> SpeedReport:
-    """Exact speed of T^-1 on [f]: the top word speed over the residue."""
-    lam, residue, trace = speed_decompose(f, alphabet)
-    value = _max_sp(residue)
+    """Exact speed of T^-1 on [f]: the top word speed over the residue g of
+    f ~ lambda*rot + g, witnessed by g's first top-speed key.
+
+    When the top-speed set of the normal form is already conclusive the rot
+    part is 0; otherwise the column rewrite runs, and in the borderline case
+    (top-speed keys of both column and b-truncated shape) its result is kept
+    only if it strictly lowers the top speed.
+    """
+    nf, trace = normal_form(f, alphabet)
+    lam, residue = Fraction(0), nf
+    value, top = _top_speeds(nf)
+    if value > 0 and not _reduced_as_given(top):
+        lam_c, residue_c, extra = _absorb_columns(nf, alphabet)
+        value_c, top_c = _top_speeds(residue_c)
+        if all(_is_edge_column(v) for v in top) or value_c < value:
+            lam, residue, trace = lam_c, residue_c, trace + extra
+            value, top = value_c, top_c
     witness: Optional[Word] = None
     if value > 0:
-        v = _top_speed_set(residue)[0]
+        v = top[0]
         witness = v if residue.weight[v] > 0 else inverse(v)
     return SpeedReport(lam, value, witness, residue, trace)
 

@@ -17,6 +17,7 @@ from qmforge.relations import normal_form
 from qmforge.speed import rot
 
 from _corpus import random_brooks_sum
+from _optimized import run_optimized
 
 AL = Alphabet(2)
 AL3 = Alphabet(3)
@@ -102,6 +103,24 @@ def test_mixed_skeleton_long_key_leaves_core_under_flip():
     assert wit.kind is EvidenceKind.POSITIVE_SPEED
     assert wit.witness_word == w("a'c'", AL3)  # canonical support key
     assert verify_witness(f, wit, AL3)
+
+
+def test_failed_dispatch_move_exits_3_naming_fixpoints_under_python_O():
+    """A move that does not gain speed breaks the dispatch's contract."""
+    script = (
+        "import dataclasses, importlib\n"
+        "from qmforge.cli import main\n"
+        "fixpoints = importlib.import_module('qmforge.fixpoints')\n"
+        "speed = fixpoints.speed\n"
+        "fixpoints.speed = lambda f, al: dataclasses.replace(speed(f, al), value=0)\n"
+        "raise SystemExit(main(['--rank', '3', 'exclude-fixpoint', 'phi(ca)']))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "qmforge: contract violation in fixpoints: "
+        "mixed-skeleton word failed to leave O under H"
+    )
 
 
 def test_all_a_skeleton_swaps_letters():

@@ -105,6 +105,11 @@ def test_sphere_words_are_reduced_and_distinct():
 def test_word_sort_key_orders_by_length_then_letters():
     ordering = sorted([w("b"), w("a'"), w("aa"), w("a"), w("b'")], key=word_sort_key)
     assert ordering == [w("a"), w("a'"), w("b"), w("b'"), w("aa")]
+    # the integer key gives the (abs, sign) letter order of the docstring
+    words = list(ball(Alphabet(3), 4))
+    random.Random(3).shuffle(words)
+    by_pairs = sorted(words, key=lambda v: (len(v), tuple((abs(x), x < 0) for x in v)))
+    assert sorted(words, key=word_sort_key) == by_pairs == list(ball(Alphabet(3), 4))
 
 
 # -- b-representation ---------------------------------------------------------

@@ -10,7 +10,9 @@ that is not a dunder, must be read somewhere in ``src/``, ``tests/`` or
 The second check goes by name only, so a definition whose name is also read
 for an unrelated object escapes it.  No ``assert`` in the package may bind a
 name or call a mutating method in its test, because ``python -O`` strips the
-whole statement and the effect with it.  ``oracle.py`` may import neither the
+whole statement and the effect with it; and every ``assert`` only narrows a
+type (``x is not None``, possibly several joined by ``and``), because a
+check that must hold under ``-O`` raises instead.  ``oracle.py`` may import neither the
 fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``) nor any
 module of the algebra it checks (``relations``, ``action``, ``speed``,
 ``fixpoints``).
@@ -144,6 +146,48 @@ def test_the_check_sees_an_acting_assert():
 def test_no_assert_acts():
     acting = {path.name: _acting_asserts(path.read_text()) for path in MODULES}
     assert {module: lines for module, lines in acting.items() if lines} == {}
+
+
+def _is_narrowing(test: ast.expr) -> bool:
+    """`x is not None`, or a conjunction of such tests."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return all(_is_narrowing(value) for value in test.values)
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    )
+
+
+def _checking_asserts(source: str) -> list[int]:
+    """Lines of asserts that check a fact rather than narrow a type."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert) and not _is_narrowing(node.test)
+    ]
+
+
+def test_the_check_sees_an_assert_that_checks():
+    source = (
+        "x = y = None\n"
+        "assert x is not None\n"
+        "assert x is not None and y is not None\n"
+        "assert x is not None and y\n"
+        "assert x >= 1\n"
+        "assert x is None\n"
+        "assert x is not y\n"
+        "assert x is not None, 'message'\n"
+        "assert x is not None or y is not None\n"
+    )
+    assert _checking_asserts(source) == [4, 5, 6, 7, 9]
+
+
+def test_every_assert_only_narrows_types():
+    checking = {path.name: _checking_asserts(path.read_text()) for path in MODULES}
+    assert {module: lines for module, lines in checking.items() if lines} == {}
 
 
 REFEREED_NAMES = {"evaluate", "count_subword", "apply_nielsen"}

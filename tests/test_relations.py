@@ -6,18 +6,22 @@ from fractions import Fraction
 import pytest
 
 from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi, zero
+from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import Alphabet, b_power, ball, inverse, parse_word
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
     RelationKind,
     RewriteTrace,
     TraceStep,
+    _attach,
+    _Rewriter,
     eliminate_b_powers,
     extension_relation,
     is_normal_form,
     normal_form,
     retarget_power,
 )
+from qmforge.speed import speed
 
 from _corpus import random_brooks_sum
 from _optimized import run_optimized
@@ -98,6 +102,88 @@ def test_retarget_rejects_bad_input():
         retarget_power(RelationKind.RIGHT, w("b"), 0, 1, 2, AL)  # x not truncated
     with pytest.raises(ValueError):
         retarget_power(RelationKind.RIGHT, w("a"), 0, 0, 2, AL)  # zero exponent
+
+
+def _sweep_cases(rng):
+    """Random columns at ranks 2-4: members on both sides of the target,
+    repeated exponents, a member at -m_t, and coefficients that cancel."""
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        for _ in range(40):
+            side = rng.choice(list(RelationKind))
+            x = tuple(rng.choice(alphabet.s_b()) for _ in range(rng.randint(1, 3)))
+            if any(x[i] == -x[i + 1] for i in range(len(x) - 1)):
+                continue
+            m_t = rng.choice([m for m in range(-4, 5) if m])
+            exponents = [m for m in range(-7, 8) if m]
+            members = [
+                (m, Fraction(rng.randint(-3, 3) or 1, rng.choice((1, 2))))
+                for m in rng.sample(exponents, rng.randint(1, 6))
+            ]
+            members.append((-m_t, Fraction(rng.randint(1, 3))))
+            m, c = rng.choice(members)
+            members.append((m, -c))  # cancels that exponent's member...
+            members.append((m, c))  # ...and restores it: a repeated exponent
+            outer = sorted({m for m, _ in members if m > m_t})
+            if len(outer) >= 2 and rng.random() < 0.5:
+                # a member that zeroes the carrier leaving its exponent
+                stop = rng.choice(outer[:-1])
+                members.append((stop, -sum(c for m, c in members if m >= stop)))
+            fixed = b_power(rng.randint(-2, 2))
+            core = fixed + x if side is RelationKind.RIGHT else x + fixed
+            yield alphabet, side, core, members, m_t
+        # pure b-powers: the empty core of eliminate_b_powers
+        yield alphabet, RelationKind.RIGHT, (), [(m, Fraction(1)) for m in (9, 4, 4, 2, 1)], 1
+
+
+def test_column_sweep_equals_the_sum_of_one_member_walks():
+    for alphabet, side, core, members, m_t in _sweep_cases(random.Random(41)):
+        case = (alphabet.rank, side, core, members, m_t)
+        before = brooks_sum({})
+        for m, c in members:
+            before = before + phi(_attach(side, core, b_power(m))).scale(c)
+        target = _attach(side, core, b_power(m_t))
+        swept = _Rewriter(alphabet)
+        swept.emit(target, swept.sweep(side, core, members, m_t))
+        each = _Rewriter(alphabet)
+        for m, c in members:
+            each.retarget(side, core, m, m_t, c)
+        (after, trace), (after_each, trace_each) = swept.result(), each.result()
+        assert after == after_each, case
+        assert trace.combination(alphabet) == trace_each.combination(alphabet), case
+        assert trace.certifies(before, after, alphabet), case
+        assert trace_each.certifies(before, after_each, alphabet), case
+        assert all(step.coefficient != 0 for step in trace.steps), case
+        assert len(trace.steps) <= len(trace_each.steps), case
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_phi_b_power_trace_grows_linearly(rank):
+    """Each column of phi(b^m)'s debris b^i s is swept once, not once per key."""
+    alphabet = Alphabet(rank)
+    steps = {}
+    for m in (10, 20, 40, 80):
+        f = phi(b_power(m))
+        nf, trace = normal_form(f, alphabet)
+        assert trace.certifies(f, nf, alphabet), m
+        steps[m] = len(trace.steps)
+    for m in (10, 20, 40):
+        assert steps[2 * m] <= 2 * steps[m] + 30, steps
+    if rank == 2:
+        assert steps[80] <= 6 * 80, steps
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_keys_outside_the_alphabet_are_rejected(rank):
+    alphabet = Alphabet(rank)
+    c = rank + 1
+    message = f"letter {c} is not in the alphabet of rank {rank}"
+    with pytest.raises(ValueError, match=message):
+        normal_form(phi((2, 2, c)), alphabet)
+    with pytest.raises(ValueError, match=message):
+        speed(phi((2, c, 2)), alphabet)
+    with pytest.raises(ValueError, match=message):
+        exclude_fixpoint(phi((1, c)), alphabet)
 
 
 # -- b-power elimination ---------------------------------------------------------
