@@ -26,6 +26,7 @@ from .freegroup import (
     Alphabet,
     Word,
     inverse,
+    is_canonical,
     is_reduced,
     word_sort_key,
     word_str,
@@ -91,21 +92,18 @@ class BrooksSum:
         return format_sum(self)
 
 
-def _validated(entries: dict[Word, Rational]) -> dict[Word, Rational]:
-    out: dict[Word, Rational] = {}
-    for v, c in entries.items():
-        if v == ():
-            raise ValueError("the identity cannot carry weight")
-        if not is_reduced(v):
-            raise ValueError(f"key {v!r} is not reduced")
-        c = Fraction(c)
-        if c != 0:
-            out[v] = c
-    return out
+def _check_key(v: Word) -> None:
+    if v == ():
+        raise ValueError("the identity cannot carry weight")
+    if not is_reduced(v):
+        raise ValueError(f"key {v!r} is not reduced")
 
 
 def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
-    return BrooksSum(_validated({v: Fraction(c) for v, c in entries.items()}), Mode.COUNTING)
+    for v in entries:
+        _check_key(v)
+    weight = {v: Fraction(c) for v, c in entries.items()}
+    return BrooksSum({v: c for v, c in weight.items() if c != 0}, Mode.COUNTING)
 
 
 def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
@@ -117,17 +115,12 @@ def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     """
     merged: dict[Word, Fraction] = {}
     for v, c in entries.items():
-        if v == ():
-            raise ValueError("the identity cannot carry weight")
-        if not is_reduced(v):
-            raise ValueError(f"key {v!r} is not reduced")
-        vinv = inverse(v)
-        if v == vinv:
-            raise ValueError(f"key {word_str(v)} equals its own inverse; corrupted input")
-        c = Fraction(c)
-        if word_sort_key(vinv) < word_sort_key(v):
-            v, c = vinv, -c
-        merged[v] = merged.get(v, Fraction(0)) + c
+        _check_key(v)
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not is_canonical(v):
+            v, c = inverse(v), -c
+        prev = merged.get(v)
+        merged[v] = c if prev is None else prev + c
     return BrooksSum({v: c for v, c in merged.items() if c != 0}, Mode.BROOKS)
 
 

@@ -20,7 +20,7 @@ from .action import NielsenWord, act
 from .counting import BrooksSum
 from .freegroup import A, B, Alphabet, NielsenGen, Word, b_form, tau, word_sort_key
 from .relations import normal_form
-from .speed import SpeedReport, speed, speed_decompose
+from .speed import SpeedReport, _speed_of_normal_form, speed, speed_decompose
 
 
 class EvidenceKind(Enum):
@@ -80,11 +80,11 @@ def exclude_fixpoint(
     """
     if _depth > alphabet.rank + 1:
         raise ValueError("case dispatch failed to terminate")
-    nf, _ = normal_form(f, alphabet)
+    nf, trace = normal_form(f, alphabet)
     if nf.is_zero():
         raise ValueError("the zero class is fixed by everything")
 
-    rep = speed(f, alphabet)
+    rep = _speed_of_normal_form(nf, trace, alphabet)
     if rep.value > 0:
         return ExclusionWitness(
             X=NielsenWord(()), kind=EvidenceKind.POSITIVE_SPEED, report=rep

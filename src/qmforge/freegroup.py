@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import add, neg
 from typing import Iterator, Optional
 
 Word = tuple[int, ...]
@@ -72,8 +73,19 @@ def word_sort_key(w: Word) -> tuple[int, tuple[int, ...]]:
     return (len(w), tuple(map(_LETTER_RANK.__getitem__, w)))
 
 
+def is_canonical(w: Word) -> bool:
+    """Is w the (length, lex)-smaller of w and w^-1?  The first position
+    where the two differ decides, usually the first; raises ValueError when
+    w equals its own inverse."""
+    for x, y in zip(w, reversed(w)):
+        if x != -y:
+            return _LETTER_RANK[x] < _LETTER_RANK[-y]
+    raise ValueError(f"key {word_str(w)} equals its own inverse; corrupted input")
+
+
 def is_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    # Letters are nonzero, so x + y == 0 exactly when y is x^-1.
+    return all(map(add, w, w[1:]))
 
 
 def free_reduce(letters: list[int] | Word) -> Word:
@@ -95,7 +107,7 @@ def multiply(*words: Word) -> Word:
 
 
 def inverse(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def power(w: Word, k: int) -> Word:
@@ -198,6 +210,15 @@ class Kind(Enum):
     B_POWER = "b-power"
 
 
+# The kind of a word that is not a b-power, by whether it starts and ends in b^+-1.
+_KIND_BY_ENDS = {
+    (False, False): Kind.B_TRUNCATED,
+    (True, False): Kind.B_LEFT,
+    (False, True): Kind.RIGHT_B,
+    (True, True): Kind.B_AND_B,
+}
+
+
 @dataclass(frozen=True)
 class BForm:
     """The factorization w = b^{m_0} s_1 b^{m_1} ... s_k b^{m_k}.
@@ -222,13 +243,7 @@ class BForm:
     def kind(self) -> Kind:
         if not self.s:
             return Kind.B_POWER
-        if self.m0 == 0 and self.mk == 0:
-            return Kind.B_TRUNCATED
-        if self.m0 != 0 and self.mk == 0:
-            return Kind.B_LEFT
-        if self.m0 == 0:
-            return Kind.RIGHT_B
-        return Kind.B_AND_B
+        return _KIND_BY_ENDS[self.m0 != 0, self.mk != 0]
 
     def word(self) -> Word:
         parts: list[Word] = [b_power(self.m[0])]
@@ -254,7 +269,13 @@ def b_form(w: Word) -> BForm:
 
 
 def kind_of(w: Word) -> Kind:
-    return b_form(w).kind()
+    """b_form(w).kind() of a nonempty reduced word, read off its end letters."""
+    if not w:
+        raise ValueError("the identity has no b-form")
+    ends = (abs(w[0]) == B, abs(w[-1]) == B)
+    if ends == (True, True) and w.count(B) + w.count(-B) == len(w):
+        return Kind.B_POWER
+    return _KIND_BY_ENDS[ends]
 
 
 def tau(w: Word, s_index: int = B) -> Optional[Word]:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
-from .counting import BrooksSum, Mode, as_counting, brooks_sum, counting_sum
+from .counting import BrooksSum, Mode, brooks_sum, counting_sum
 from .freegroup import (
     B,
     Alphabet,
@@ -41,6 +41,7 @@ from .freegroup import (
     b_form,
     b_power,
     inverse,
+    is_canonical,
     is_reduced,
     is_truncated,
     kind_of,
@@ -79,10 +80,16 @@ def _denominator(coefficients: Iterable[Fraction]) -> int:
     return lcm(*{c.denominator for c in coefficients})
 
 
-def _scaled_into(acc: dict[Word, int], weight: dict[Word, Fraction], den: int, sign: int) -> None:
-    """acc += sign * den * weight, in integers."""
-    for v, c in weight.items():
-        acc[v] = acc.get(v, 0) + sign * c.numerator * (den // c.denominator)
+def _scaled_into(acc: dict[Word, int], f: BrooksSum, den: int, sign: int) -> None:
+    """acc += sign * den * f as a counting sum, in integers: a Brooks key v
+    adds its weight at v and subtracts it at v^-1."""
+    brooks = f.mode is Mode.BROOKS
+    for v, c in f.weight.items():
+        n = sign * c.numerator * (den // c.denominator)
+        acc[v] = acc.get(v, 0) + n
+        if brooks:
+            vinv = inverse(v)
+            acc[vinv] = acc.get(vinv, 0) - n
 
 
 @dataclass(frozen=True)
@@ -124,13 +131,12 @@ class RewriteTrace:
         denominator in before, after and the steps; the check holds exactly
         when every entry is zero.  Cost: O(steps x 2 rank) integer operations.
         """
-        lhs, rhs = as_counting(before).weight, as_counting(after).weight
         den = _denominator(
-            [*lhs.values(), *rhs.values(), *(step.coefficient for step in self.steps)]
+            [*before.weight.values(), *after.weight.values(), *(s.coefficient for s in self.steps)]
         )
         acc: dict[Word, int] = {}
-        _scaled_into(acc, rhs, den, 1)
-        _scaled_into(acc, lhs, den, -1)
+        _scaled_into(acc, after, den, 1)
+        _scaled_into(acc, before, den, -1)
         self._add_combination(acc, den, alphabet)
         return not any(acc.values())
 
@@ -163,8 +169,9 @@ class _Rewriter:
         if c == 0:
             return
         if not w:
-            raise AssertionError("rewriting emitted the identity")
-        self.weight[w] = self.weight.get(w, Fraction(0)) + c
+            raise ValueError("rewriting emitted the identity")
+        prev = self.weight.get(w)
+        self.weight[w] = c if prev is None else prev + c
 
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         return brooks_sum(self.weight), RewriteTrace(tuple(self.steps))
@@ -175,11 +182,12 @@ class _Rewriter:
         """One step of phi(core b^m) (RIGHT) or phi(b^m core) (LEFT) with |m|
         shrinking; returns the new exponent and carrier."""
         sgn = 1 if m > 0 else -1
+        neg_c = -c
         if abs(m) >= 2:
             base = _attach(side, core, b_power(m - sgn))
             self.steps.extend(_pair(base, side, c))
             for s in self.alphabet.s_b():
-                self.emit(_attach(side, base, (s,)), -c)
+                self.emit(_attach(side, base, (s,)), neg_c)
             return m - sgn, c
         # crossing zero (RIGHT): phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
         end = core[-1] if side is RelationKind.RIGHT else core[0]
@@ -187,8 +195,8 @@ class _Rewriter:
         self.emit(core, c)
         for s in self.alphabet.s_b():
             if s != -end:
-                self.emit(_attach(side, core, (s,)), -c)
-        return -sgn, -c
+                self.emit(_attach(side, core, (s,)), neg_c)
+        return -sgn, neg_c
 
     def _grow(self, side: RelationKind, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
         sgn = 1 if m > 0 else -1
@@ -217,11 +225,11 @@ class _Rewriter:
         for m, c in members:
             if m == 0:
                 raise ValueError("exponents must be nonzero")
-            at[m] = at.get(m, Fraction(0)) + c
-        total = at.pop(m_to, Fraction(0))
+            at[m] = at.get(m, 0) + c
+        total = at.pop(m_to, 0)
         for above in (True, False):
             stops = sorted((m for m in at if (m > m_to) == above), reverse=above)
-            carrier = Fraction(0)
+            carrier = 0
             for m, stop in zip(stops, stops[1:] + [m_to]):
                 carrier += at[m]
                 while carrier and m != stop:
@@ -335,11 +343,10 @@ def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTr
             continue
         t = tau(v)
         assert t is not None
-        skel = min(t, inverse(t), key=word_sort_key)
-        if t != skel:
-            v, c = inverse(v), -c
+        if not is_canonical(t):
+            t, v, c = inverse(t), inverse(v), -c
         form = b_form(v)
-        families.setdefault(skel, []).append((form.m0, form.mk, c))
+        families.setdefault(t, []).append((form.m0, form.mk, c))
     for skel, members in sorted(families.items(), key=lambda kv: word_sort_key(kv[0])):
         p_t, q_t, _ = min(
             members,
@@ -409,31 +416,34 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("normal form applies to Brooks sums")
-    support = f.support()
-    for v in support:
-        if tau(v) is None and v != (B,):
-            return False, NormalFormViolation(1, v, None)
-    by_kind: dict[Kind, list[Word]] = {}
-    for v in support:
-        by_kind.setdefault(kind_of(v), []).append(v)
-    for kind, words in by_kind.items():
-        if kind is Kind.B_POWER:
+    # One pass over the support, in order: condition (1), and per kind a map
+    # from skeleton to its first key plus the kind's first repeated skeleton.
+    # Kinds are then checked in the order in which they first occur.
+    first: dict[Kind, dict[Word, Word]] = {}
+    repeats: dict[Kind, NormalFormViolation] = {}
+    for v in f.support():
+        t = tau(v)
+        if t is None:
+            if v != (B,):
+                return False, NormalFormViolation(1, v, None)
             continue
-        seen: dict[Word, Word] = {}
-        for v in words:
-            t = tau(v)
-            assert t is not None
-            if t in seen and seen[t] != v:
-                return False, NormalFormViolation(2, seen[t], v)
+        kind = kind_of(v)
+        seen = first.setdefault(kind, {})
+        if t in seen:
+            repeats.setdefault(kind, NormalFormViolation(2, seen[t], v))
+        else:
             seen[t] = v
+    for kind, seen in first.items():
+        if kind in repeats:
+            return False, repeats[kind]
         if kind in (Kind.B_TRUNCATED, Kind.B_AND_B):
-            for v in words:
-                t_inv = tau(inverse(v))
-                if t_inv in seen and seen[t_inv] != v:
-                    return False, NormalFormViolation(3, v, seen[t_inv])
-    for v in by_kind.get(Kind.B_LEFT, []):
-        t_inv = tau(inverse(v))
-        for w in by_kind.get(Kind.RIGHT_B, []):
-            if tau(w) == t_inv:
-                return False, NormalFormViolation(3, v, w)
+            for t, v in seen.items():
+                w = seen.get(inverse(t))
+                if w is not None and w != v:
+                    return False, NormalFormViolation(3, v, w)
+    right_b = first.get(Kind.RIGHT_B, {})
+    for t, v in first.get(Kind.B_LEFT, {}).items():
+        w = right_b.get(inverse(t))
+        if w is not None:
+            return False, NormalFormViolation(3, v, w)
     return True, None

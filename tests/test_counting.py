@@ -73,6 +73,15 @@ def test_brooks_sum_canonical_orientation():
     assert brooks_sum({w("bbbaaaaa"): 1}).weight == {w("a'a'a'a'a'b'b'b'"): Fraction(-1)}
 
 
+@pytest.mark.parametrize("make", [brooks_sum, counting_sum])
+def test_sums_reject_the_identity_and_unreduced_keys(make):
+    with pytest.raises(ValueError, match="the identity cannot carry weight"):
+        make({(): 1})
+    for v in ((1, -1), (2, 1, -1, 2), (1, 2, -2)):
+        with pytest.raises(ValueError, match="is not reduced"):
+            make({w("ab"): 1, v: 1})
+
+
 def test_phi_of_inverse_is_negation():
     for v in ball(AL, 4):
         if not v:

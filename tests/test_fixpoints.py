@@ -35,6 +35,25 @@ def test_positive_speed_needs_no_move():
     assert verify_witness(phi(w("aba")), wit, AL)
 
 
+def test_exclude_fixpoint_normalizes_its_input_once(monkeypatch):
+    """speed reuses the normal form that the dispatch computed."""
+    import importlib
+
+    calls = []
+    original = normal_form
+
+    def counted(f, alphabet):
+        calls.append(f)
+        return original(f, alphabet)
+
+    for name in ("qmforge.fixpoints", "qmforge.speed"):
+        monkeypatch.setattr(importlib.import_module(name), "normal_form", counted)
+    f = phi(w("ab"))
+    wit = exclude_fixpoint(f, AL)
+    assert wit.kind is EvidenceKind.POSITIVE_SPEED and wit.X.gens == ()
+    assert calls == [f]
+
+
 def test_truncated_class_moves_under_p1():
     f = phi(w("abba'"))
     wit = exclude_fixpoint(f, AL)

@@ -18,6 +18,8 @@ from qmforge.freegroup import (
     ball_size,
     free_reduce,
     inverse,
+    is_canonical,
+    is_reduced,
     kind_of,
     multiply,
     parse_word,
@@ -110,6 +112,32 @@ def test_word_sort_key_orders_by_length_then_letters():
     random.Random(3).shuffle(words)
     by_pairs = sorted(words, key=lambda v: (len(v), tuple((abs(x), x < 0) for x in v)))
     assert sorted(words, key=word_sort_key) == by_pairs == list(ball(Alphabet(3), 4))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_word_kernels_match_their_definitions(rank):
+    """is_reduced, inverse, kind_of and is_canonical against their letter-by-
+    letter definitions over the ball of radius 5; is_reduced and inverse
+    also over unreduced letter sequences."""
+    alphabet = Alphabet(rank)
+    letters = alphabet.letters()
+    for v in ball(alphabet, 5):
+        assert is_reduced(v)
+        assert inverse(v) == tuple(-v[i] for i in range(len(v) - 1, -1, -1))
+        if not v:
+            continue
+        assert kind_of(v) is b_form(v).kind(), v
+        assert is_canonical(v) == (word_sort_key(v) < word_sort_key(inverse(v))), v
+    rng = random.Random(rank)
+    for _ in range(2000):
+        v = tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))
+        assert is_reduced(v) == all(v[i] != -v[i + 1] for i in range(len(v) - 1)), v
+        assert inverse(v) == tuple(-x for x in reversed(v))
+    with pytest.raises(ValueError):
+        kind_of(())
+    for v in ((), (A, -A), (B, A, -A, -B)):
+        with pytest.raises(ValueError, match="equals its own inverse"):
+            is_canonical(v)
 
 
 # -- b-representation ---------------------------------------------------------

@@ -5,11 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi, zero
+from qmforge.counting import (
+    BrooksSum,
+    Mode,
+    as_counting,
+    brooks_sum,
+    counting_sum,
+    evaluate,
+    phi,
+    zero,
+)
 from qmforge.fixpoints import exclude_fixpoint
-from qmforge.freegroup import Alphabet, b_power, ball, inverse, parse_word
+from qmforge.freegroup import B, Alphabet, Kind, b_form, b_power, ball, inverse, parse_word, tau
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
+    NormalFormViolation,
     RelationKind,
     RewriteTrace,
     TraceStep,
@@ -23,7 +33,7 @@ from qmforge.relations import (
 )
 from qmforge.speed import speed
 
-from _corpus import random_brooks_sum
+from _corpus import random_brooks_sum, random_reduced_word
 from _optimized import run_optimized
 
 AL = Alphabet(2)
@@ -190,8 +200,6 @@ def test_keys_outside_the_alphabet_are_rejected(rank):
 
 
 def test_eliminate_b_powers_on_phi_b_squared():
-    from qmforge.freegroup import b_form
-
     out, trace = eliminate_b_powers(phi(w("bb")), AL)
     # the only pure b-power allowed to survive is b itself
     assert all(b_form(v).s or v == w("b") for v in out.support())
@@ -274,6 +282,78 @@ def test_is_normal_form_flags_violations():
     assert not ok and violation is not None and violation.condition == 1
 
 
+def _reference_is_normal_form(f, alphabet):
+    """The support conditions checked pair by pair, in the order that
+    is_normal_form reports them."""
+    support = f.support()
+    for v in support:
+        if tau(v) is None and v != (B,):
+            return False, NormalFormViolation(1, v, None)
+    by_kind = {}
+    for v in support:
+        by_kind.setdefault(b_form(v).kind(), []).append(v)
+    for kind, words in by_kind.items():
+        if kind is Kind.B_POWER:
+            continue
+        seen = {}
+        for v in words:
+            t = tau(v)
+            if t in seen and seen[t] != v:
+                return False, NormalFormViolation(2, seen[t], v)
+            seen[t] = v
+        if kind in (Kind.B_TRUNCATED, Kind.B_AND_B):
+            for v in words:
+                t_inv = tau(inverse(v))
+                if t_inv in seen and seen[t_inv] != v:
+                    return False, NormalFormViolation(3, v, seen[t_inv])
+    for v in by_kind.get(Kind.B_LEFT, []):
+        t_inv = tau(inverse(v))
+        for u in by_kind.get(Kind.RIGHT_B, []):
+            if tau(u) == t_inv:
+                return False, NormalFormViolation(3, v, u)
+    return True, None
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
+    """Same (ok, violation) as the reference on random sums, their b-power
+    eliminations, their normal forms, and their keys in random orientation
+    as given: canonical orientation never puts a b-left and a right-b key on
+    one column, so only the last reach that check."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(43 + rank)
+    violations = set()
+    for i in range(400):
+        f = random_brooks_sum(rng, alphabet, max_keys=8, max_len=5)
+        if i % 2:
+            # keys b^p x b^q on one skeleton and its inverse, so that
+            # skeletons collide within a kind and across opposite kinds
+            x = random_reduced_word(rng, Alphabet(rank), rng.randint(1, 3))
+            if tau(x) == x:
+                for _ in range(rng.randint(1, 4)):
+                    y = rng.choice((x, inverse(x)))
+                    key = b_power(rng.randint(-2, 2)) + y + b_power(rng.randint(-2, 2))
+                    f = f + phi(key).scale(rng.randint(1, 3))
+        turned = {rng.choice((v, inverse(v))): c for v, c in f.weight.items()}
+        for g in (
+            f,
+            eliminate_b_powers(f, alphabet)[0],
+            normal_form(f, alphabet)[0],
+            BrooksSum(turned, Mode.BROOKS),
+        ):
+            verdict = is_normal_form(g, alphabet)
+            assert verdict == _reference_is_normal_form(g, alphabet), g.weight
+            if not verdict[0]:
+                violations.add((verdict[1].condition, b_form(verdict[1].v).kind()))
+    for seen in ((1, Kind.B_POWER), (2, Kind.B_LEFT), (3, Kind.B_AND_B), (3, Kind.B_LEFT)):
+        assert seen in violations, violations
+
+
+def test_rewriter_rejects_the_identity():
+    with pytest.raises(ValueError, match="rewriting emitted the identity"):
+        _Rewriter(Alphabet(2)).emit((), Fraction(1))
+
+
 def test_violated_normal_form_exits_3_naming_relations_under_python_O():
     script = (
         "import qmforge.relations as relations\n"
@@ -352,11 +432,17 @@ def test_certifies_agrees_with_reference_and_rejects_tampering(rank):
     for alphabet, f in _fractional_sums(rank):
         nf, trace = normal_form(f, alphabet)
         assert trace.steps, f.weight
-        assert trace.certifies(f, nf, alphabet)
-        assert _reference_certifies(trace, f, nf, alphabet)
+        # each side as given (BROOKS) or widened to COUNTING
+        pairs = [(f, nf), (as_counting(f), nf), (f, as_counting(nf))]
+        pairs.append((as_counting(f), as_counting(nf)))
+        for before, after in pairs:
+            assert trace.certifies(before, after, alphabet)
+            assert _reference_certifies(trace, before, after, alphabet)
         for label, bad in _mutants(trace, rng):
-            assert not bad.certifies(f, nf, alphabet), (label, f.weight)
-            assert not _reference_certifies(bad, f, nf, alphabet), (label, f.weight)
+            for before, after in pairs:
+                case = (label, before.mode, after.mode, f.weight)
+                assert not bad.certifies(before, after, alphabet), case
+                assert not _reference_certifies(bad, before, after, alphabet), case
         wrong = nf + phi(parse_word("a", alphabet)).scale(Fraction(1, 6))
         assert not trace.certifies(f, wrong, alphabet)
         assert not trace.certifies(f, nf.scale(2), alphabet)
