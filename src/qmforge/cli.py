@@ -313,23 +313,34 @@ def _cmd_exclude(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, 
     return 0, text, payload
 
 
+# The largest L that `ball L` accepts.  At rank 26 the answer then has about
+# 1,700 digits, inside Python's 4,300-digit limit for printing an int, and it
+# is refused before the power is computed.
+BALL_RADIUS_LIMIT = 1000
+
+
 def _cmd_ball(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
+    if ns.radius_arg > BALL_RADIUS_LIMIT:
+        raise ValueError(
+            f"ball radius {ns.radius_arg} is over the limit BALL_RADIUS_LIMIT = "
+            f"{BALL_RADIUS_LIMIT}; give a radius L <= {BALL_RADIUS_LIMIT}"
+        )
     size = ball_size(alphabet.rank, ns.radius_arg)
     return 0, str(size), {"radius": ns.radius_arg, "size": size}
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites.  Each takes the radius of the largest ball it may scan: its
+# own default, lowered to --radius when that is given.
 
 
-def _suite_counting(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
+def _suite_counting(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     aba = parse_word("aba", alphabet)
     frozen = [("abaaa", 1), ("abaaab'b'b'b'aaba", 2), ("aaababa", 2)]
     for text, want in frozen:
         got = count_subword(aba, parse_word(text, alphabet))
         if got != want:
             return False, f"#aba({text}) = {got}, want {want}"
-    radius = min(5, cap) if cap is not None else 5
     for probe in ("aba", "ab", "ba'"):
         v0 = parse_word(probe, alphabet)
         for v in ball(alphabet, radius):
@@ -338,7 +349,7 @@ def _suite_counting(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
     return True, f"frozen values and scan agreement on ball {radius}"
 
 
-def _suite_norm(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
+def _suite_norm(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     w = lambda t: parse_word(t, alphabet)
     f = counting_sum({w("aa"): 5, w("ab"): -3, w("b"): 1})
     flag, _ = is_unbalanced(f, alphabet)
@@ -353,11 +364,10 @@ def _suite_norm(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
     return True, "unbalanced and balanced examples check out"
 
 
-def _suite_relations(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
+def _suite_relations(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     from .relations import RelationKind, extension_relation
 
-    inner = min(2, cap) if cap is not None else 2
-    outer = min(5, cap) if cap is not None else 5
+    inner, outer = min(2, radius), radius
     for w in ball(alphabet, inner):
         if not w:
             continue
@@ -371,8 +381,7 @@ def _suite_relations(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]
     return True, f"indicator identities on balls {inner}/{outer}"
 
 
-def _suite_transport(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
-    radius = min(5, cap) if cap is not None else 5
+def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     probes = ("ba", "ab", "bab'", "b'a'b", "aba")
     for text in probes:
         w = parse_word(text, alphabet)
@@ -389,36 +398,53 @@ def _suite_transport(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]
     return True, f"W* transport exact for {len(probes)} words on ball {radius}"
 
 
-def _suite_rot(alphabet: Alphabet, cap: Optional[int]) -> tuple[bool, str]:
+def _suite_rot(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     r = rot(alphabet)
     moved = act(NielsenGen.TINV, r, alphabet)
     diff = moved - r
-    radii = [L for L in (4, 5, 6) if cap is None or L <= cap] or [cap]
+    radii = [L for L in (4, 5, 6) if L <= radius] or [radius]
     sups = [sup_on_ball(diff, L, alphabet).sup for L in radii]
     if len(set(sups)) != 1:
         return False, f"sup of act(Tinv, rot) - rot drifts: {sups} on radii {radii}"
     return True, f"sup constant ({sups[0]}) on radii {radii}"
 
 
-_SUITES: dict[str, Callable[[Alphabet, Optional[int]], tuple[bool, str]]] = {
-    "counting": _suite_counting,
-    "norm": _suite_norm,
-    "relations": _suite_relations,
-    "transport": _suite_transport,
-    "rot": _suite_rot,
+# Each suite with the radius of the largest ball it scans by default (norm
+# scans none; a ball of radius 0 is one word).
+_SUITES: dict[str, tuple[int, Callable[[Alphabet, int], tuple[bool, str]]]] = {
+    "counting": (5, _suite_counting),
+    "norm": (0, _suite_norm),
+    "relations": (5, _suite_relations),
+    "transport": (5, _suite_transport),
+    "rot": (6, _suite_rot),
 }
+
+# The most words one ball of a verify run may hold.  Rank 4 at radius 5
+# (22,409 words) and rank 3 at radius 6 (23,437) fit; rank 4 at radius 6
+# (156,865) and rank 5 at radius 5 (73,811) do not.
+VERIFY_WORD_BUDGET = 25_000
 
 
 def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
     names = list(_SUITES) if ns.suite in (None, "all") else [ns.suite]
+    radii = {name: _SUITES[name][0] for name in names}
     cap = getattr(ns, "radius", None)
     if cap is not None:
         check_radius(cap)
+        radii = {name: min(r, cap) for name, r in radii.items()}
+    reach = max(radii.values())
+    words = ball_size(alphabet.rank, reach)
+    if words > VERIFY_WORD_BUDGET:
+        fit = max(r for r in range(reach) if ball_size(alphabet.rank, r) <= VERIFY_WORD_BUDGET)
+        raise ValueError(
+            f"verify would scan {words} words (rank {alphabet.rank}, radius {reach}), over "
+            f"the budget VERIFY_WORD_BUDGET = {VERIFY_WORD_BUDGET}; pass --radius {fit} or less"
+        )
     lines = []
     results = []
     ok_all = True
     for name in names:
-        ok, detail = _SUITES[name](alphabet, cap)
+        ok, detail = _SUITES[name][1](alphabet, radii[name])
         ok_all = ok_all and ok
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} - {detail}")
         results.append({"name": name, "ok": ok, "detail": detail})

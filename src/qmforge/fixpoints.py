@@ -18,7 +18,7 @@ from typing import Optional
 
 from .action import NielsenWord, act
 from .counting import BrooksSum
-from .freegroup import A, B, Alphabet, NielsenGen, Word, b_form, tau, word_sort_key
+from .freegroup import A, B, Alphabet, NielsenGen, Word, skeleton, word_sort_key
 from .relations import normal_form
 from .speed import SpeedReport, _speed_of_normal_form, speed, speed_decompose
 
@@ -61,10 +61,6 @@ def _hom_vector(f: BrooksSum, alphabet: Alphabet) -> dict[int, Fraction]:
             else:
                 vec[-s] -= c
     return vec
-
-
-def _skeleton(v: Word) -> tuple[int, ...]:
-    return b_form(v).s
 
 
 def exclude_fixpoint(
@@ -111,13 +107,12 @@ def exclude_fixpoint(
             rot_after=flipped,
         )
 
-    long_keys = [
-        v for v in rep.residue.support() if tau(v) is not None and len(_skeleton(v)) >= 2
-    ]
+    skeletons = {v: skeleton(v) for v in rep.residue.support()}
+    long_keys = {v: sk for v, sk in skeletons.items() if len(sk) >= 2}
     mixed = [
         v
-        for v in long_keys
-        if any(abs(s) == A for s in _skeleton(v)) and any(abs(s) != A for s in _skeleton(v))
+        for v, sk in long_keys.items()
+        if any(abs(s) == A for s in sk) and any(abs(s) != A for s in sk)
     ]
     if mixed:
         moved = speed(act(NielsenGen.H, f, alphabet), alphabet)
@@ -130,7 +125,7 @@ def exclude_fixpoint(
             witness_word=min(mixed, key=word_sort_key),
         )
 
-    a_only = [v for v in long_keys if all(abs(s) == A for s in _skeleton(v))]
+    a_only = [v for v, sk in long_keys.items() if all(abs(s) == A for s in sk)]
     if a_only:
         moved = speed(act(NielsenGen.P1, f, alphabet), alphabet)
         if moved.value < 1:
@@ -146,7 +141,7 @@ def exclude_fixpoint(
         # A-free skeletons: cycle the leading skeleton letter of the smallest
         # one onto b and rerun the dispatch on the image.
         w0 = min(long_keys, key=word_sort_key)
-        j = (B - abs(_skeleton(w0)[0])) % alphabet.rank
+        j = (B - abs(long_keys[w0][0])) % alphabet.rank
         if j < 1:
             raise ValueError("the leading skeleton letter is already b")
         shift = NielsenWord((NielsenGen.P2,) * j)

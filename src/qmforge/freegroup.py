@@ -278,6 +278,11 @@ def kind_of(w: Word) -> Kind:
     return _KIND_BY_ENDS[ends]
 
 
+def skeleton(w: Word) -> Word:
+    """b_form(w).s: the letters of w other than b and b^-1, in order."""
+    return tuple([x for x in w if x != B and x != -B])
+
+
 def tau(w: Word, s_index: int = B) -> Optional[Word]:
     """Strip the maximal s^{+-1} prefix and suffix; None when nothing is left.
 

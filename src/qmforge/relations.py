@@ -141,15 +141,7 @@ class RewriteTrace:
         return not any(acc.values())
 
 
-def _pair(base: Word, lead: RelationKind, c: Fraction) -> tuple[TraceStep, TraceStep]:
-    """Trace entries (lead, base, -c) and (mirror, base^-1, +c).
-
-    Rewriting one exponent step of a Brooks key consumes the relation pair
-    r_base - l_{base^-1} (or the mirror) with a single coefficient; the pair
-    keeps the certificate exact on both the word and its inverse.
-    """
-    other = RelationKind.LEFT if lead is RelationKind.RIGHT else RelationKind.RIGHT
-    return (TraceStep(lead, base, -c), TraceStep(other, inverse(base), c))
+_MIRROR = {RelationKind.LEFT: RelationKind.RIGHT, RelationKind.RIGHT: RelationKind.LEFT}
 
 
 def _attach(side: RelationKind, core: Word, block: Word) -> Word:
@@ -158,10 +150,16 @@ def _attach(side: RelationKind, core: Word, block: Word) -> Word:
 
 
 class _Rewriter:
-    """Accumulates a weight and a trace while single-stepping exponents."""
+    """Accumulates a weight and a trace while stepping exponents.
+
+    Rewriting one exponent step of a Brooks key consumes the relation pair
+    r_base - l_{base^-1} (or the mirror) with a single coefficient: trace
+    entries (lead, base, -c) and (mirror, base^-1, +c), which keep the
+    certificate exact on both the word and its inverse.
+    """
 
     def __init__(self, alphabet: Alphabet) -> None:
-        self.alphabet = alphabet
+        self.s_b = alphabet.s_b()
         self.weight: dict[Word, Fraction] = {}
         self.steps: list[TraceStep] = []
 
@@ -176,35 +174,49 @@ class _Rewriter:
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         return brooks_sum(self.weight), RewriteTrace(tuple(self.steps))
 
-    # -- single steps on the exponent at one end of the key -----------------
+    # -- exponent walks at one end of the key ---------------------------------
 
-    def _strip(self, side: RelationKind, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
-        """One step of phi(core b^m) (RIGHT) or phi(b^m core) (LEFT) with |m|
-        shrinking; returns the new exponent and carrier."""
-        sgn = 1 if m > 0 else -1
-        neg_c = -c
-        if abs(m) >= 2:
-            base = _attach(side, core, b_power(m - sgn))
-            self.steps.extend(_pair(base, side, c))
-            for s in self.alphabet.s_b():
-                self.emit(_attach(side, base, (s,)), neg_c)
-            return m - sgn, c
-        # crossing zero (RIGHT): phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
-        end = core[-1] if side is RelationKind.RIGHT else core[0]
-        self.steps.extend(_pair(core, side, c))
-        self.emit(core, c)
-        for s in self.alphabet.s_b():
-            if s != -end:
-                self.emit(_attach(side, core, (s,)), neg_c)
-        return -sgn, neg_c
+    def _run(self, side: RelationKind, core: Word, exponents: range, d: Fraction) -> None:
+        """The steps at the bases core·b^j (RIGHT) or b^j·core (LEFT), j in
+        exponents in order: each consumes the pair (side, base, -d),
+        (mirror, base^-1, d) and leaves the debris -d·phi(base·s) (RIGHT) or
+        -d·phi(s·base) (LEFT), s in S_b."""
+        neg_d, mirror, inv_core = -d, _MIRROR[side], inverse(core)
+        right = side is RelationKind.RIGHT
+        weight, steps = self.weight, self.steps
+        for j in exponents:
+            base = _attach(side, core, b_power(j))
+            inv_base = _attach(mirror, inv_core, b_power(-j))
+            steps += (TraceStep(side, base, neg_d), TraceStep(mirror, inv_base, d))
+            for s in self.s_b:
+                w = base + (s,) if right else (s,) + base
+                prev = weight.get(w)
+                weight[w] = neg_d if prev is None else prev + neg_d
 
-    def _grow(self, side: RelationKind, core: Word, m: int, c: Fraction) -> tuple[int, Fraction]:
+    def _walk(self, side: RelationKind, core: Word, m: int, stop: int, c: Fraction) -> Fraction:
+        """Walk c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT) to the
+        exponent stop; return the carrier there.
+
+        A strip unit, m to m - sgn with |m| shrinking, is the step at base
+        exponent m - sgn with d = c; a grow unit, m to m + sgn, the step at
+        base exponent m with d = -c.  Crossing zero negates the carrier.
+        """
         sgn = 1 if m > 0 else -1
-        base = _attach(side, core, b_power(m))
-        self.steps.extend(_pair(base, side, -c))
-        for s in self.alphabet.s_b():
-            self.emit(_attach(side, base, (s,)), c)
-        return m + sgn, c
+        if (stop > 0) != (m > 0):
+            self._run(side, core, range(m - sgn, 0, -sgn), c)
+            # RIGHT: phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
+            end = core[-1] if side is RelationKind.RIGHT else core[0]
+            self.steps += (TraceStep(side, core, -c), TraceStep(_MIRROR[side], inverse(core), c))
+            self.emit(core, c)
+            for s in self.s_b:
+                if s != -end:
+                    self.emit(_attach(side, core, (s,)), -c)
+            m, c, sgn = -sgn, -c, -sgn
+        if abs(stop) < abs(m):
+            self._run(side, core, range(m - sgn, stop - sgn, -sgn), c)
+        else:
+            self._run(side, core, range(m, stop, sgn), -c)
+        return c
 
     def sweep(
         self, side: RelationKind, core: Word, members: list[tuple[int, Fraction]], m_to: int
@@ -232,11 +244,8 @@ class _Rewriter:
             carrier = 0
             for m, stop in zip(stops, stops[1:] + [m_to]):
                 carrier += at[m]
-                while carrier and m != stop:
-                    if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
-                        m, carrier = self._grow(side, core, m, carrier)
-                    else:
-                        m, carrier = self._strip(side, core, m, carrier)
+                if carrier:
+                    carrier = self._walk(side, core, m, stop, carrier)
             total += carrier
         return total
 
@@ -389,7 +398,8 @@ def _merge_columns(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rewrite
             v, c = inverse(v), -c
         t = tau(v)
         assert t is not None
-        columns.setdefault(t, []).append((b_form(v).m0, c))
+        m = len(v) - len(t)  # v = b^m t with the b-block of v[0]'s sign
+        columns.setdefault(t, []).append((m if v[0] == B else -m, c))
     for skel, members in sorted(columns.items(), key=lambda kv: word_sort_key(kv[0])):
         m_t = min(
             (m for m, _ in members),
@@ -416,16 +426,27 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("normal form applies to Brooks sums")
-    # One pass over the support, in order: condition (1), and per kind a map
-    # from skeleton to its first key plus the kind's first repeated skeleton.
-    # Kinds are then checked in the order in which they first occur.
+    # Whether a violation exists does not depend on key order, only which one
+    # is reported: so the support is sorted only when there is one to report.
+    if _first_violation(f.weight) is None:
+        return True, None
+    return False, _first_violation(f.support())
+
+
+def _first_violation(keys: Iterable[Word]) -> Optional[NormalFormViolation]:
+    """is_normal_form's violation, the first one in the given key order.
+
+    One pass over the keys: condition (1), and per kind a map from skeleton
+    to its first key plus the kind's first repeated skeleton.  Kinds are then
+    checked in the order in which they first occur.
+    """
     first: dict[Kind, dict[Word, Word]] = {}
     repeats: dict[Kind, NormalFormViolation] = {}
-    for v in f.support():
+    for v in keys:
         t = tau(v)
         if t is None:
             if v != (B,):
-                return False, NormalFormViolation(1, v, None)
+                return NormalFormViolation(1, v, None)
             continue
         kind = kind_of(v)
         seen = first.setdefault(kind, {})
@@ -435,15 +456,15 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
             seen[t] = v
     for kind, seen in first.items():
         if kind in repeats:
-            return False, repeats[kind]
+            return repeats[kind]
         if kind in (Kind.B_TRUNCATED, Kind.B_AND_B):
             for t, v in seen.items():
                 w = seen.get(inverse(t))
                 if w is not None and w != v:
-                    return False, NormalFormViolation(3, v, w)
+                    return NormalFormViolation(3, v, w)
     right_b = first.get(Kind.RIGHT_B, {})
     for t, v in first.get(Kind.B_LEFT, {}).items():
         w = right_b.get(inverse(t))
         if w is not None:
-            return False, NormalFormViolation(3, v, w)
-    return True, None
+            return NormalFormViolation(3, v, w)
+    return None

@@ -45,6 +45,8 @@ from .freegroup import (
     Word,
     b_form,
     inverse,
+    kind_of,
+    skeleton,
     tau,
     word_sort_key,
 )
@@ -70,15 +72,14 @@ def sp_word(w: Word) -> int:
     """
     if not w:
         raise ValueError("the identity has no word speed")
-    form = b_form(w)
-    if not form.s:
+    kind = kind_of(w)
+    if kind is Kind.B_POWER:
         if len(w) == 1:
             return 0
         raise ValueError("phi of a proper b-power is not speed reduced; decompose first")
-    s = form.s
-    plus = sum(1 for j in range(len(s) - 1) if s[j] != A and s[j + 1] == -A)
-    minus = sum(1 for j in range(len(s) - 1) if s[j] == A and s[j + 1] != -A)
-    return plus + minus + _KIND_OFFSET[form.kind()]
+    s = skeleton(w)
+    # A position is in A+ or A- exactly when "s_j = a" and "s_j+1 = a^-1" differ.
+    return sum((x == A) != (y == -A) for x, y in zip(s, s[1:])) + _KIND_OFFSET[kind]
 
 
 def in_O(w: Word) -> bool:
@@ -92,16 +93,10 @@ def in_O(w: Word) -> bool:
         raise ValueError("the identity is not classified")
     if tau(w) is None:
         return len(w) == 1
-    form = b_form(w)
-    if form.kind() is not Kind.B_TRUNCATED:
+    if kind_of(w) is not Kind.B_TRUNCATED:
         return False
-    s = form.s
-    for j in range(len(s) - 1):
-        if s[j] == A and s[j + 1] != -A:
-            return False
-        if s[j + 1] == -A and s[j] != A:
-            return False
-    return True
+    s = skeleton(w)
+    return all((x == A) == (y == -A) for x, y in zip(s, s[1:]))
 
 
 def rot(alphabet: Alphabet) -> BrooksSum:
@@ -141,8 +136,7 @@ def _top_speeds(f: BrooksSum) -> tuple[int, list[Word]]:
 
 def _is_edge_column(v: Word) -> bool:
     """One skeleton letter carrying a single boundary exponent (b^m s or s b^m)."""
-    form = b_form(v)
-    return len(form.s) == 1 and form.kind() in (Kind.B_LEFT, Kind.RIGHT_B)
+    return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B) and len(skeleton(v)) == 1
 
 
 def _reduced_as_given(top: list[Word]) -> bool:
@@ -151,12 +145,15 @@ def _reduced_as_given(top: list[Word]) -> bool:
     True when it holds a b-and-b key, or a b-left/right-b key of b-length
     at least 2, or nothing but b-truncated keys.
     """
-    forms = [b_form(v) for v in top]
-    if any(f.kind() is Kind.B_AND_B for f in forms):
+    kinds = [kind_of(v) for v in top]
+    if Kind.B_AND_B in kinds:
         return True
-    if any(f.kind() in (Kind.B_LEFT, Kind.RIGHT_B) and len(f.s) >= 2 for f in forms):
+    if any(
+        kind in (Kind.B_LEFT, Kind.RIGHT_B) and len(skeleton(v)) >= 2
+        for v, kind in zip(top, kinds)
+    ):
         return True
-    return all(f.kind() is Kind.B_TRUNCATED for f in forms)
+    return all(kind is Kind.B_TRUNCATED for kind in kinds)
 
 
 def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, BrooksSum, RewriteTrace]:

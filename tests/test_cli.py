@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from qmforge import cli
 from qmforge.cli import ExpressionError, main, parse_expression
 from qmforge.counting import format_sum, phi
 from qmforge.freegroup import Alphabet, parse_word
+
+from _optimized import run_optimized
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -267,3 +270,62 @@ def test_verify_json_shape(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["suites"][0]["name"] == "norm"
+
+
+# -- budgets ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,refusal",
+    [
+        (
+            ["verify", "all", "--rank", "26"],
+            "verify would scan 18300139313 words (rank 26, radius 6), over the budget "
+            "VERIFY_WORD_BUDGET = 25000; pass --radius 2 or less",
+        ),
+        (
+            ["ball", "10000"],
+            "ball radius 10000 is over the limit BALL_RADIUS_LIMIT = 1000; "
+            "give a radius L <= 1000",
+        ),
+        (
+            ["ball", "1000000000"],
+            "ball radius 1000000000 is over the limit BALL_RADIUS_LIMIT = 1000; "
+            "give a radius L <= 1000",
+        ),
+    ],
+    ids=["verify-rank-26", "ball-10000", "ball-1000000000"],
+)
+def test_requests_over_budget_exit_3_before_any_work(capsys, monkeypatch, argv, refusal):
+    def refuse(*args):
+        raise AssertionError(f"work started before the budget check: {args}")
+
+    for name in ("ball", "sup_on_ball") + (("ball_size",) if argv[0] == "ball" else ()):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == f"qmforge: contract violation in cli: {refusal}"
+
+
+def test_verify_budget_admits_rank_4_at_radius_5(capsys, monkeypatch):
+    """The suites are stubbed: only the radii they would scan are recorded."""
+    scanned = []
+    for name, (reach, _) in list(cli._SUITES.items()):
+        stub = lambda alphabet, radius, name=name: (scanned.append((name, radius)) or True, "")
+        monkeypatch.setitem(cli._SUITES, name, (reach, stub))
+    assert run(capsys, "verify", "all", "--rank", "4", "--radius", "5")[0] == 0
+    assert scanned == [("counting", 5), ("norm", 0), ("relations", 5), ("transport", 5), ("rot", 5)]
+    # default radii: rot scans radius 6, 23,437 words at rank 3 and 156,865 at rank 4
+    assert run(capsys, "verify", "all", "--rank", "3")[0] == 0
+    code, _, err = run(capsys, "verify", "all", "--rank", "4")
+    assert code == 3 and err.strip().endswith("pass --radius 5 or less")
+    assert run(capsys, "verify", "counting", "--rank", "4")[0] == 0
+
+
+def test_ball_over_its_radius_limit_exits_3_under_python_O():
+    proc = run_optimized("from qmforge.cli import main\nraise SystemExit(main(['ball', '10000']))\n")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.strip() == (
+        "qmforge: contract violation in cli: ball radius 10000 is over the limit "
+        "BALL_RADIUS_LIMIT = 1000; give a radius L <= 1000"
+    )

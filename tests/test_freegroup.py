@@ -24,6 +24,7 @@ from qmforge.freegroup import (
     multiply,
     parse_word,
     power,
+    skeleton,
     sphere,
     tau,
     word_sort_key,
@@ -116,9 +117,9 @@ def test_word_sort_key_orders_by_length_then_letters():
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_word_kernels_match_their_definitions(rank):
-    """is_reduced, inverse, kind_of and is_canonical against their letter-by-
-    letter definitions over the ball of radius 5; is_reduced and inverse
-    also over unreduced letter sequences."""
+    """is_reduced, inverse, kind_of, skeleton and is_canonical against their
+    letter-by-letter definitions over the ball of radius 5; is_reduced and
+    inverse also over unreduced letter sequences."""
     alphabet = Alphabet(rank)
     letters = alphabet.letters()
     for v in ball(alphabet, 5):
@@ -127,6 +128,7 @@ def test_word_kernels_match_their_definitions(rank):
         if not v:
             continue
         assert kind_of(v) is b_form(v).kind(), v
+        assert skeleton(v) == b_form(v).s, v
         assert is_canonical(v) == (word_sort_key(v) < word_sort_key(inverse(v))), v
     rng = random.Random(rank)
     for _ in range(2000):

@@ -16,7 +16,18 @@ from qmforge.counting import (
     zero,
 )
 from qmforge.fixpoints import exclude_fixpoint
-from qmforge.freegroup import B, Alphabet, Kind, b_form, b_power, ball, inverse, parse_word, tau
+from qmforge.freegroup import (
+    B,
+    Alphabet,
+    Kind,
+    b_form,
+    b_power,
+    ball,
+    inverse,
+    kind_of,
+    parse_word,
+    tau,
+)
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
     NormalFormViolation,
@@ -24,6 +35,7 @@ from qmforge.relations import (
     RewriteTrace,
     TraceStep,
     _attach,
+    _merge_columns,
     _Rewriter,
     eliminate_b_powers,
     extension_relation,
@@ -165,6 +177,98 @@ def test_column_sweep_equals_the_sum_of_one_member_walks():
         assert trace_each.certifies(before, after_each, alphabet), case
         assert all(step.coefficient != 0 for step in trace.steps), case
         assert len(trace.steps) <= len(trace_each.steps), case
+
+
+def _one_step_sweep(alphabet, side, core, members, m_to):
+    """The column walk one exponent unit at a time, with one strip or grow
+    call per unit: the reference for the run-based sweep.  Returns the
+    target's coefficient, the weight, the trace steps, and the step shapes
+    it took."""
+    mirror = RelationKind.LEFT if side is RelationKind.RIGHT else RelationKind.RIGHT
+    weight, steps, shapes = {}, [], set()
+
+    def emit(v, c):
+        weight[v] = weight[v] + c if v in weight else c
+
+    def pair(base, c):
+        steps.extend((TraceStep(side, base, -c), TraceStep(mirror, inverse(base), c)))
+
+    def strip(m, c):
+        sgn = 1 if m > 0 else -1
+        if abs(m) >= 2:
+            base = _attach(side, core, b_power(m - sgn))
+            pair(base, c)
+            for s in alphabet.s_b():
+                emit(_attach(side, base, (s,)), -c)
+            shapes.add("strip")
+            return m - sgn, c
+        end = core[-1] if side is RelationKind.RIGHT else core[0]
+        pair(core, c)
+        emit(core, c)
+        for s in alphabet.s_b():
+            if s != -end:
+                emit(_attach(side, core, (s,)), -c)
+        shapes.add("cross")
+        return -sgn, -c
+
+    def grow(m, c):
+        sgn = 1 if m > 0 else -1
+        base = _attach(side, core, b_power(m))
+        pair(base, -c)
+        for s in alphabet.s_b():
+            emit(_attach(side, base, (s,)), c)
+        shapes.add("grow")
+        return m + sgn, c
+
+    at = {}
+    for m, c in members:
+        at[m] = at.get(m, 0) + c
+    total = at.pop(m_to, 0)
+    for above in (True, False):
+        stops = sorted((m for m in at if (m > m_to) == above), reverse=above)
+        carrier = 0
+        for m, stop in zip(stops, stops[1:] + [m_to]):
+            carrier += at[m]
+            while carrier and m != stop:
+                if (m > 0) == (m_to > 0) and abs(m) < abs(m_to):
+                    m, carrier = grow(m, carrier)
+                else:
+                    m, carrier = strip(m, carrier)
+        total += carrier
+    return total, weight, steps, shapes
+
+
+def test_run_walk_matches_the_one_step_walk():
+    """The same target coefficient, weight (in insertion order) and trace,
+    step by step, as the one-step walk, over strip runs, grow runs and zero
+    crossings on both sides at ranks 2-4."""
+    covered = set()
+    for alphabet, side, core, members, m_t in _sweep_cases(random.Random(47)):
+        case = (alphabet.rank, side, core, members, m_t)
+        total, weight, steps, shapes = _one_step_sweep(alphabet, side, core, members, m_t)
+        rewriter = _Rewriter(alphabet)
+        assert rewriter.sweep(side, core, members, m_t) == total, case
+        assert list(rewriter.weight.items()) == list(weight.items()), case
+        assert rewriter.steps == steps, case
+        covered |= {(alphabet.rank, side, shape) for shape in shapes}
+    for rank in (2, 3, 4):
+        for side in RelationKind:
+            for shape in ("strip", "grow", "cross"):
+                assert (rank, side, shape) in covered, (rank, side, shape)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_merge_columns_reads_the_leading_exponent(rank):
+    """A lone column key is already its column's target: _merge_columns
+    returns it unchanged, so its exponent read b^m x = b_form's m0, x."""
+    alphabet = Alphabet(rank)
+    for v in ball(alphabet, 5):
+        if not v or kind_of(v) not in (Kind.B_LEFT, Kind.RIGHT_B):
+            continue
+        u = v if kind_of(v) is Kind.B_LEFT else inverse(v)
+        assert b_power(b_form(u).m0) + tau(u) == u
+        after, trace = _merge_columns(phi(v), alphabet)
+        assert after == phi(v) and trace.steps == (), v
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -319,7 +423,9 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
     """Same (ok, violation) as the reference on random sums, their b-power
     eliminations, their normal forms, and their keys in random orientation
     as given: canonical orientation never puts a b-left and a right-b key on
-    one column, so only the last reach that check."""
+    one column, so only the last reach that check.  Each violating sum is
+    also checked with its keys inserted in reverse support order: the
+    violation reported is still the first one in support order."""
     alphabet = Alphabet(rank)
     rng = random.Random(43 + rank)
     violations = set()
@@ -345,6 +451,8 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
             assert verdict == _reference_is_normal_form(g, alphabet), g.weight
             if not verdict[0]:
                 violations.add((verdict[1].condition, b_form(verdict[1].v).kind()))
+                reversed_keys = {v: g.weight[v] for v in reversed(g.support())}
+                assert is_normal_form(BrooksSum(reversed_keys, g.mode), alphabet) == verdict
     for seen in ((1, Kind.B_POWER), (2, Kind.B_LEFT), (3, Kind.B_AND_B), (3, Kind.B_LEFT)):
         assert seen in violations, violations
 

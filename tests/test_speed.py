@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qmforge.counting import brooks_sum, format_sum, phi, zero
-from qmforge.freegroup import Alphabet, NielsenGen, ball, inverse, parse_word
+from qmforge.freegroup import A, Alphabet, Kind, NielsenGen, b_form, ball, inverse, parse_word
 from qmforge.relations import RelationKind, extension_relation, normal_form
 from qmforge.speed import (
     BoundTag,
+    _is_edge_column,
+    _reduced_as_given,
     empirical_speed,
     in_O,
     rot,
@@ -73,6 +75,75 @@ def test_zero_speed_words_are_exactly_the_core_set():
         form = b_form(v)
         if form.m0 == 0 and form.mk == 0 and form.s:
             assert (sp_word(v) == 0) == in_O(v), v
+
+
+def _reference_sp_word(v):
+    form = b_form(v)
+    if not form.s:
+        if len(v) == 1:
+            return 0
+        raise ValueError("phi of a proper b-power is not speed reduced; decompose first")
+    s = form.s
+    plus = sum(1 for j in range(len(s) - 1) if s[j] != A and s[j + 1] == -A)
+    minus = sum(1 for j in range(len(s) - 1) if s[j] == A and s[j + 1] != -A)
+    offset = {Kind.B_TRUNCATED: 0, Kind.B_LEFT: 1, Kind.RIGHT_B: 1, Kind.B_AND_B: 2}
+    return plus + minus + offset[form.kind()]
+
+
+def _reference_in_O(v):
+    form = b_form(v)
+    if not form.s:
+        return len(v) == 1
+    if form.kind() is not Kind.B_TRUNCATED:
+        return False
+    s = form.s
+    return all((s[j] == A) == (s[j + 1] == -A) for j in range(len(s) - 1))
+
+
+def _reference_is_edge_column(v):
+    form = b_form(v)
+    return len(form.s) == 1 and form.kind() in (Kind.B_LEFT, Kind.RIGHT_B)
+
+
+def _reference_reduced_as_given(top):
+    forms = [b_form(v) for v in top]
+    if any(f.kind() is Kind.B_AND_B for f in forms):
+        return True
+    if any(f.kind() in (Kind.B_LEFT, Kind.RIGHT_B) and len(f.s) >= 2 for f in forms):
+        return True
+    return all(f.kind() is Kind.B_TRUNCATED for f in forms)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_per_key_reads_match_their_b_form_definitions(rank):
+    """sp_word, in_O and _is_edge_column over the ball of radius 5, and
+    _reduced_as_given on random top sets drawn from a few kinds, against
+    definitions that read a full b_form."""
+    alphabet = Alphabet(rank)
+    by_kind = {}
+    for v in ball(alphabet, 5):
+        if not v:
+            continue
+        try:
+            want = _reference_sp_word(v)
+        except ValueError:
+            with pytest.raises(ValueError, match="proper b-power"):
+                sp_word(v)
+        else:
+            assert sp_word(v) == want, v
+        assert in_O(v) == _reference_in_O(v), v
+        assert _is_edge_column(v) == _reference_is_edge_column(v), v
+        by_kind.setdefault(b_form(v).kind(), []).append(v)
+    del by_kind[Kind.B_POWER]
+    rng = random.Random(rank)
+    outcomes = set()
+    for _ in range(3000):
+        kinds = rng.sample(sorted(by_kind, key=lambda k: k.value), rng.randint(1, 2))
+        top = [rng.choice(by_kind[rng.choice(kinds)]) for _ in range(rng.randint(1, 4))]
+        want = _reference_reduced_as_given(top)
+        assert _reduced_as_given(top) == want, top
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # -- the rotation class -------------------------------------------------------------
