@@ -133,8 +133,8 @@ def count_term(v: Word) -> BrooksSum:
     return counting_sum({v: Fraction(1)})
 
 
-def zero(mode: Mode = Mode.BROOKS) -> BrooksSum:
-    return BrooksSum({}, mode)
+def zero() -> BrooksSum:
+    return BrooksSum({}, Mode.BROOKS)
 
 
 def as_counting(f: BrooksSum) -> BrooksSum:

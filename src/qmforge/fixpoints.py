@@ -20,7 +20,7 @@ from .action import NielsenWord, act
 from .counting import BrooksSum
 from .freegroup import A, B, Alphabet, NielsenGen, Word, skeleton, word_sort_key
 from .relations import normal_form
-from .speed import SpeedReport, _speed_of_normal_form, speed, speed_decompose
+from .speed import SpeedReport, _speed_of_normal_form, speed
 
 
 class EvidenceKind(Enum):
@@ -97,7 +97,7 @@ def exclude_fixpoint(
                 )
         # Rank 2, the rot line itself: H negates the rot coefficient, which
         # is all the moving that can be certified by speed alone.
-        flipped = speed_decompose(act(NielsenGen.H, f, alphabet), alphabet)[0]
+        flipped = speed(act(NielsenGen.H, f, alphabet), alphabet).rot_coefficient
         if flipped != -rep.rot_coefficient or flipped == rep.rot_coefficient:
             raise ValueError("H failed to flip the rot coefficient")
         return ExclusionWitness(
@@ -186,8 +186,8 @@ def verify_witness(f: BrooksSum, witness: ExclusionWitness, alphabet: Alphabet) 
             and after == witness.hom_after
             and before != after
         )
-    lam = speed_decompose(f, alphabet)[0]
-    lam_moved = speed_decompose(moved, alphabet)[0]
+    lam = speed(f, alphabet).rot_coefficient
+    lam_moved = speed(moved, alphabet).rot_coefficient
     return (
         lam == witness.rot_before
         and lam_moved == witness.rot_after

@@ -283,25 +283,25 @@ def skeleton(w: Word) -> Word:
     return tuple([x for x in w if x != B and x != -B])
 
 
-def tau(w: Word, s_index: int = B) -> Optional[Word]:
-    """Strip the maximal s^{+-1} prefix and suffix; None when nothing is left.
+def tau(w: Word) -> Optional[Word]:
+    """Strip the maximal b^{+-1} prefix and suffix; None when nothing is left.
 
     None (the empty set marker) is distinct from the identity word: tau_b of a
     pure b-power is None, never e.
     """
     lo, hi = 0, len(w)
-    while lo < hi and abs(w[lo]) == s_index:
+    while lo < hi and abs(w[lo]) == B:
         lo += 1
-    while hi > lo and abs(w[hi - 1]) == s_index:
+    while hi > lo and abs(w[hi - 1]) == B:
         hi -= 1
     if lo == hi:
         return None
     return w[lo:hi]
 
 
-def is_truncated(w: Word, s_index: int = B) -> bool:
-    """True when w carries no s-power on either end (and survives tau)."""
-    return tau(w, s_index) == w
+def is_truncated(w: Word) -> bool:
+    """True when w carries no b-power on either end (and survives tau)."""
+    return tau(w) == w
 
 
 # ---------------------------------------------------------------------------

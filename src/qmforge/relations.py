@@ -19,6 +19,11 @@ A single walk serves both ends of a key: the side it moves (RIGHT for the
 trailing exponent, LEFT for the leading one) is also the kind that leads
 each relation pair it consumes.  The keys of one column (one core, many
 exponents) share one walk, so phi(b^m) costs O(m) steps, not O(m^2).
+A rewrite is a sequence of passes over one accumulator, a _Rewriter seeded
+with the input's weight: each pass takes the keys it rewrites out of the
+accumulator and walks them, adding targets and debris back in place, and
+the result is canonicalized (keys oriented, merged, zeros dropped) once,
+at the end.
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .counting import BrooksSum, Mode, brooks_sum, counting_sum
 from .freegroup import (
@@ -155,13 +160,20 @@ class _Rewriter:
     Rewriting one exponent step of a Brooks key consumes the relation pair
     r_base - l_{base^-1} (or the mirror) with a single coefficient: trace
     entries (lead, base, -c) and (mirror, base^-1, +c), which keep the
-    certificate exact on both the word and its inverse.
+    certificate exact on both the word and its inverse.  The weight is raw
+    until result(): it may hold a key next to its inverse, and zero entries.
     """
 
-    def __init__(self, alphabet: Alphabet) -> None:
+    def __init__(self, alphabet: Alphabet, weight: dict[Word, Fraction]) -> None:
         self.s_b = alphabet.s_b()
-        self.weight: dict[Word, Fraction] = {}
+        self.weight = dict(weight)
         self.steps: list[TraceStep] = []
+
+    def take(self, pick: Callable[[Word], bool]) -> dict[Word, Fraction]:
+        """Remove the keys pick selects; return those of nonzero weight."""
+        picked = [v for v in self.weight if pick(v)]
+        taken = {v: self.weight.pop(v) for v in picked}
+        return {v: c for v, c in taken.items() if c}
 
     def emit(self, w: Word, c: Fraction) -> None:
         if c == 0:
@@ -219,7 +231,7 @@ class _Rewriter:
         return c
 
     def sweep(
-        self, side: RelationKind, core: Word, members: list[tuple[int, Fraction]], m_to: int
+        self, side: RelationKind, core: Word, members: Iterable[tuple[int, Fraction]], m_to: int
     ) -> Fraction:
         """Walk the keys c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT),
         one per member (m, c), to exponent m_to; return the target's
@@ -249,22 +261,6 @@ class _Rewriter:
             total += carrier
         return total
 
-    def retarget(
-        self, side: RelationKind, core: Word, m_from: int, m_to: int, c: Fraction
-    ) -> None:
-        """Walk one b-exponent of a key to a new value, plus debris.
-
-        RIGHT walks the trailing exponent, phi(core b^m_from) to
-        +-phi(core b^m_to); LEFT walks the leading one, phi(b^m_from core) to
-        +-phi(b^m_to core).  Each step consumes a relation pair led by the
-        walked side's kind.  The core may be empty (pure b-powers) or any word
-        ending (RIGHT) or starting (LEFT) in a non-b letter, possibly carrying
-        its own exponent at the other end.  The carrier sign flips exactly
-        when the walk crosses zero.
-        """
-        target = _attach(side, core, b_power(m_to))
-        self.emit(target, self.sweep(side, core, [(m_from, c)], m_to))
-
 
 def retarget_power(
     side: RelationKind,
@@ -278,15 +274,18 @@ def retarget_power(
 
     For RIGHT the input key is b^{m_fixed} x b^{m_from} and the result is
     +-phi(b^{m_fixed} x b^{m_to}) plus words b^{m_fixed}·(block ending in a
-    non-b letter); LEFT is the mirror image.  The target carries coefficient
-    -1 exactly when the walk crosses zero.
+    non-b letter); LEFT is the mirror image.  Each step consumes a relation
+    pair led by the walked side's kind.  The target carries coefficient -1
+    exactly when the walk crosses zero.
     """
     if not x or not is_truncated(x):
         raise ValueError("x must be a nonempty b-truncated word")
     if m_from == 0 or m_to == 0:
         raise ValueError("retargeted exponents must be nonzero")
-    rewriter = _Rewriter(alphabet)
-    rewriter.retarget(side, _attach(side, b_power(m_fixed), x), m_from, m_to, Fraction(1))
+    rewriter = _Rewriter(alphabet, {})
+    core = _attach(side, b_power(m_fixed), x)
+    target = _attach(side, core, b_power(m_to))
+    rewriter.emit(target, rewriter.sweep(side, core, [(m_from, Fraction(1))], m_to))
     return rewriter.result()
 
 
@@ -299,15 +298,16 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("b-power elimination applies to Brooks sums")
-    rewriter = _Rewriter(alphabet)
-    powers: list[tuple[int, Fraction]] = []
-    for v, c in f.weight.items():
-        if tau(v) is None:
-            powers.append((len(v), c))
-        else:
-            rewriter.emit(v, c)
-    rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), powers, 1))
+    rewriter = _Rewriter(alphabet, f.weight)
+    _unwind_b_powers(rewriter)
     return rewriter.result()
+
+
+def _unwind_b_powers(rewriter: _Rewriter) -> None:
+    """The pass of eliminate_b_powers: take the b-power keys, walk them to b."""
+    powers = rewriter.take(lambda v: tau(v) is None)
+    members = [(len(v), c) for v, c in powers.items()]
+    rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +317,28 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
 def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTrace]:
     """Rewrite into normal form, returning the certificate trace.
 
-    Phases, in the fixed order whose side-products never revisit an earlier
-    phase: (1) unwind b-power keys (debris: b-left); (2) merge b-and-b keys
-    sharing a skeleton up to inversion, left exponent first (debris: b-left,
-    right-b, b-truncated); (3) merge b-left/right-b keys presenting the same
-    column — a right-b key y b^q is the column key b^{-q} y^{-1} in disguise
-    (debris: b-truncated only).  The b-truncated inverse condition is vacuous
-    under canonical key orientation.  Surviving targets are chosen by
-    smallest boundary exponents, then (length, lex); the rewriting lemma does
-    not dictate a choice, so determinism is fixed here.
+    Three passes over one accumulator seeded with f's weight, in the fixed
+    order whose side-products never revisit an earlier pass: (1) unwind
+    b-power keys (debris: b-left); (2) merge b-and-b keys sharing a skeleton
+    up to inversion, left exponent first (debris: b-left, right-b,
+    b-truncated); (3) merge b-left/right-b keys presenting the same column —
+    a right-b key y b^q is the column key b^{-q} y^{-1} in disguise (debris:
+    b-truncated only).  Each pass takes its keys out of the accumulator and
+    adds its targets and debris back; the accumulator is canonicalized once,
+    after the last pass, so the b-truncated inverse condition is vacuous.
+    Surviving targets are chosen by smallest boundary exponents, then
+    (length, lex); the rewriting lemma does not dictate a choice, so
+    determinism is fixed here.
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("normal form applies to Brooks sums")
     for v in f.weight:
         alphabet.check_word(v)
-    current, trace = eliminate_b_powers(f, alphabet)
-    current, trace2 = _merge_boxes(current, alphabet)
-    current, trace3 = _merge_columns(current, alphabet)
-    trace = trace + trace2 + trace3
+    rewriter = _Rewriter(alphabet, f.weight)
+    _unwind_b_powers(rewriter)
+    _merge_boxes(rewriter)
+    _merge_columns(rewriter)
+    current, trace = rewriter.result()
 
     ok, violation = is_normal_form(current, alphabet)
     if not ok:
@@ -342,14 +346,10 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     return current, trace
 
 
-def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTrace]:
+def _merge_boxes(rewriter: _Rewriter) -> None:
     """Collapse each b-and-b skeleton class (up to inversion) to one key."""
-    rewriter = _Rewriter(alphabet)
     families: dict[Word, list[tuple[int, int, Fraction]]] = {}
-    for v, c in f.weight.items():
-        if kind_of(v) is not Kind.B_AND_B:
-            rewriter.emit(v, c)
-            continue
+    for v, c in rewriter.take(lambda v: kind_of(v) is Kind.B_AND_B).items():
         t = tau(v)
         assert t is not None
         if not is_canonical(t):
@@ -375,38 +375,49 @@ def _merge_boxes(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTr
         ]
         core = b_power(p_t) + skel
         rewriter.emit(core + b_power(q_t), rewriter.sweep(RelationKind.RIGHT, core, rights, q_t))
-    return rewriter.result()
 
 
-def _merge_columns(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTrace]:
-    """Collapse each b-left column, absorbing right-b keys of the inverse row.
+def _is_column(v: Word) -> bool:
+    return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B)
+
+
+def _take_columns(
+    rewriter: _Rewriter, pick: Callable[[Word], bool]
+) -> dict[Word, dict[int, Fraction]]:
+    """Take the b-left and right-b keys that pick selects out of the
+    accumulator, as columns {x: {m: weight of phi(b^m x)}}.
 
     A b-left key b^m x sits in column x; a right-b key y b^q equals
-    -phi(b^{-q} y^-1), i.e. column y^-1.  Keys sharing a column violate the
-    support conditions (same skeleton, or the mixed inverse condition), so
-    each column retargets onto one surviving exponent.  Distinct columns,
-    including mutually inverse ones, may coexist.
+    -phi(b^{-q} y^-1), i.e. column y^-1.  A key and its inverse may both be
+    in the accumulator, so weights merge per exponent; exponents whose
+    merged weight is zero, and columns left empty, are dropped.
     """
-    rewriter = _Rewriter(alphabet)
-    columns: dict[Word, list[tuple[int, Fraction]]] = {}
-    for v, c in f.weight.items():
-        kind = kind_of(v)
-        if kind not in (Kind.B_LEFT, Kind.RIGHT_B):
-            rewriter.emit(v, c)
-            continue
-        if kind is Kind.RIGHT_B:
+    columns: dict[Word, dict[int, Fraction]] = {}
+    for v, c in rewriter.take(pick).items():
+        if kind_of(v) is Kind.RIGHT_B:
             v, c = inverse(v), -c
         t = tau(v)
         assert t is not None
-        m = len(v) - len(t)  # v = b^m t with the b-block of v[0]'s sign
-        columns.setdefault(t, []).append((m if v[0] == B else -m, c))
+        m = len(v) - len(t) if v[0] == B else len(t) - len(v)  # v = b^m t
+        column = columns.setdefault(t, {})
+        column[m] = column.get(m, 0) + c
+    merged = {t: {m: c for m, c in column.items() if c} for t, column in columns.items()}
+    return {t: column for t, column in merged.items() if column}
+
+
+def _merge_columns(rewriter: _Rewriter) -> None:
+    """Collapse each b-left column, absorbing right-b keys of the inverse row.
+
+    Keys sharing a column violate the support conditions (same skeleton, or
+    the mixed inverse condition), so each column retargets onto one
+    surviving exponent.  Distinct columns, including mutually inverse ones,
+    may coexist.
+    """
+    columns = _take_columns(rewriter, _is_column)
     for skel, members in sorted(columns.items(), key=lambda kv: word_sort_key(kv[0])):
-        m_t = min(
-            (m for m, _ in members),
-            key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)),
-        )
-        rewriter.emit(b_power(m_t) + skel, rewriter.sweep(RelationKind.LEFT, skel, members, m_t))
-    return rewriter.result()
+        m_t = min(members, key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)))
+        target = b_power(m_t) + skel
+        rewriter.emit(target, rewriter.sweep(RelationKind.LEFT, skel, members.items(), m_t))
 
 
 @dataclass(frozen=True)

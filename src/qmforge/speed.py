@@ -44,6 +44,7 @@ from .freegroup import (
     NielsenGen,
     Word,
     b_form,
+    b_power,
     inverse,
     kind_of,
     skeleton,
@@ -53,7 +54,9 @@ from .freegroup import (
 from .relations import (
     RelationKind,
     RewriteTrace,
+    _is_column,
     _Rewriter,
+    _take_columns,
     eliminate_b_powers,
     is_normal_form,
     normal_form,
@@ -136,7 +139,7 @@ def _top_speeds(f: BrooksSum) -> tuple[int, list[Word]]:
 
 def _is_edge_column(v: Word) -> bool:
     """One skeleton letter carrying a single boundary exponent (b^m s or s b^m)."""
-    return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B) and len(skeleton(v)) == 1
+    return _is_column(v) and len(skeleton(v)) == 1
 
 
 def _reduced_as_given(top: list[Word]) -> bool:
@@ -157,26 +160,17 @@ def _reduced_as_given(top: list[Word]) -> bool:
 
 
 def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, BrooksSum, RewriteTrace]:
-    """Walk every edge-column key to exponent 1 and convert b*a^-1 into rot.
+    """Walk every edge column to exponent 1 and convert b*a^-1 into rot.
 
     Keys b^m s (and the flipped s b^m) retarget to phi(b s); the a^-1 column
     funnels to the phi(ab) class instead, which then dissolves by definition
     of rot.  Everything else passes through untouched.
     """
-    rewriter = _Rewriter(alphabet)
-    for v, c in nf.weight.items():
-        if tau(v) is None or not _is_edge_column(v):
-            rewriter.emit(v, c)
-            continue
-        form = b_form(v)
-        if form.kind() is Kind.RIGHT_B:
-            v, c = inverse(v), -c
-            form = b_form(v)
-        target = -1 if form.s[0] == -A else 1
-        if form.m0 == target:
-            rewriter.emit(v, c)
-        else:
-            rewriter.retarget(RelationKind.LEFT, (form.s[0],), form.m0, target, c)
+    rewriter = _Rewriter(alphabet, nf.weight)
+    for skel, members in _take_columns(rewriter, _is_edge_column).items():
+        target = -1 if skel == (-A,) else 1
+        total = rewriter.sweep(RelationKind.LEFT, skel, members.items(), target)
+        rewriter.emit(b_power(target) + skel, total)
     mid, trace = rewriter.result()
     lam = mid.coefficient((A, B))
     residue = mid - rot(alphabet).scale(lam)
@@ -184,18 +178,6 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
     if not ok:
         raise ValueError(str(violation))
     return lam, residue, trace
-
-
-def speed_decompose(
-    f: BrooksSum, alphabet: Alphabet
-) -> tuple[Fraction, BrooksSum, RewriteTrace]:
-    """An equivalent lambda*rot + g with g in normal form and speed reduced:
-    the decomposition that speed reads its value from.
-
-    The trace replays the input into rot.scale(lambda) + g exactly.
-    """
-    rep = speed(f, alphabet)
-    return rep.rot_coefficient, rep.residue, rep.trace
 
 
 def speed(f: BrooksSum, alphabet: Alphabet) -> SpeedReport:

@@ -8,7 +8,9 @@ top-level function, class and assignment of the package, and every method
 that is not a dunder, must be read somewhere in ``src/``, ``tests/`` or
 ``bench/``: as a loaded ``Name`` or as the attribute of an ``Attribute``.
 The second check goes by name only, so a definition whose name is also read
-for an unrelated object escapes it.  No ``assert`` in the package may bind a
+for an unrelated object escapes it.  Likewise by name, every parameter
+default of a package function must be overridden by some call there, by
+keyword or by position: a default that no call changes is a constant.  No ``assert`` in the package may bind a
 name or call a mutating method in its test, because ``python -O`` strips the
 whole statement and the effect with it; and every ``assert`` only narrows a
 type (``x is not None``, possibly several joined by ``and``), because a
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -94,18 +97,98 @@ def test_the_check_sees_a_dead_definition():
     assert [d for d in _definitions(source) if d not in _reads(source)] == ["Y", "dead", "gone"]
 
 
-def test_every_definition_is_used():
-    sources = [
+def _project_sources() -> list[str]:
+    return [
         path.read_text()
         for folder in ("src", "tests", "bench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
-    read = set().union(*map(_reads, sources))
+
+
+def test_every_definition_is_used():
+    read = set().union(*map(_reads, _project_sources()))
     dead = {
         path.name: [name for name in _definitions(path.read_text()) if name not in read]
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {module: names for module, names in dead.items() if names} == {}
+
+
+def _defaulted_parameters(source: str) -> list[tuple[str, str, Optional[int]]]:
+    """(function, parameter, position) of every parameter with a default.
+
+    The position is the parameter's index among those a call passes
+    positionally, not counting a method's self; None for keyword-only ones.
+    """
+    out: list[tuple[str, str, Optional[int]]] = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                out.extend((child.name, p.arg, i) for i, p in enumerate(positional) if i >= first)
+                out.extend(
+                    (child.name, p.arg, None)
+                    for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                )
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def _call_shapes(sources: list[str]) -> tuple[dict[str, float], set[tuple[str, Optional[str]]]]:
+    """Per called name, the most arguments any call passes positionally
+    (unbounded after a *splat), and every (name, keyword) passed (keyword
+    None for a **splat)."""
+    most: dict[str, float] = {}
+    keywords: set[tuple[str, Optional[str]]] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            most[name] = max(most.get(name, 0), float("inf") if starred else len(node.args))
+            keywords.update((name, k.arg) for k in node.keywords)
+    return most, keywords
+
+
+def _constant_defaults(source: str, sources: list[str]) -> list[str]:
+    """function.parameter for each default of source that no call in sources overrides."""
+    most, keywords = _call_shapes(sources)
+    return [
+        f"{name}.{param}"
+        for name, param, position in _defaulted_parameters(source)
+        if (name, param) not in keywords
+        and (name, None) not in keywords
+        and (position is None or most.get(name, 0) <= position)
+    ]
+
+
+def test_the_check_sees_a_default_no_call_overrides():
+    source = (
+        "def f(x, y=1, z=2, *, k=3, j=4): pass\n"
+        "class C:\n    def m(self, a=0, b=0): pass\n"
+        "    @staticmethod\n    def s(a=0): pass\n"
+        "def g(a=0, *, k=1): pass\n"
+        "f(0, 1)\nf(0, j=5)\nC().m(1)\nC.s(2)\ng(*[1], **{'k': 2})\n"
+    )
+    assert _constant_defaults(source, [source]) == ["f.z", "f.k", "m.b"]
+
+
+def test_every_default_is_overridden_by_some_call():
+    sources = _project_sources()
+    constant = {path.name: _constant_defaults(path.read_text(), sources) for path in MODULES}
+    assert {module: names for module, names in constant.items() if names} == {}
 
 
 MUTATORS = {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qmforge.counting import (
     brooks_sum,
     counting_sum,
     evaluate,
+    format_sum,
     phi,
     zero,
 )
@@ -165,11 +167,11 @@ def test_column_sweep_equals_the_sum_of_one_member_walks():
         for m, c in members:
             before = before + phi(_attach(side, core, b_power(m))).scale(c)
         target = _attach(side, core, b_power(m_t))
-        swept = _Rewriter(alphabet)
+        swept = _Rewriter(alphabet, {})
         swept.emit(target, swept.sweep(side, core, members, m_t))
-        each = _Rewriter(alphabet)
+        each = _Rewriter(alphabet, {})
         for m, c in members:
-            each.retarget(side, core, m, m_t, c)
+            each.emit(target, each.sweep(side, core, [(m, c)], m_t))
         (after, trace), (after_each, trace_each) = swept.result(), each.result()
         assert after == after_each, case
         assert trace.combination(alphabet) == trace_each.combination(alphabet), case
@@ -246,7 +248,7 @@ def test_run_walk_matches_the_one_step_walk():
     for alphabet, side, core, members, m_t in _sweep_cases(random.Random(47)):
         case = (alphabet.rank, side, core, members, m_t)
         total, weight, steps, shapes = _one_step_sweep(alphabet, side, core, members, m_t)
-        rewriter = _Rewriter(alphabet)
+        rewriter = _Rewriter(alphabet, {})
         assert rewriter.sweep(side, core, members, m_t) == total, case
         assert list(rewriter.weight.items()) == list(weight.items()), case
         assert rewriter.steps == steps, case
@@ -267,8 +269,52 @@ def test_merge_columns_reads_the_leading_exponent(rank):
             continue
         u = v if kind_of(v) is Kind.B_LEFT else inverse(v)
         assert b_power(b_form(u).m0) + tau(u) == u
-        after, trace = _merge_columns(phi(v), alphabet)
+        rewriter = _Rewriter(alphabet, phi(v).weight)
+        _merge_columns(rewriter)
+        after, trace = rewriter.result()
         assert after == phi(v) and trace.steps == (), v
+
+
+CANCELLED_COLUMN_NORMAL_FORMS = {
+    2: "phi(b) + phi(ab') - phi(a'b'b'b')",
+    3: "phi(b) + phi(ab') - phi(bc) - phi(bc') - phi(a'b'b'b')",
+    4: "phi(b) + phi(ab') - phi(bc) - phi(bc') - phi(bd) - phi(bd') - phi(a'b'b'b')",
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_a_column_exponent_cancelled_by_debris_is_no_target(rank):
+    """phi(bb)'s debris -phi(ba) cancels the input key phi(ba), so column a
+    holds only b^3 a, which stays as it is: 2 steps, for the b-power alone."""
+    alphabet = Alphabet(rank)
+    f = phi(w("bb")) + phi(w("ba")) + phi(w("bbba"))
+    nf, trace = normal_form(f, alphabet)
+    assert format_sum(nf) == CANCELLED_COLUMN_NORMAL_FORMS[rank]
+    assert len(trace.steps) == 2 and trace.certifies(f, nf, alphabet)
+
+
+def _debris_meeting_corpus(rng):
+    """b-powers beside keys b^i s of their own debris columns, in either
+    orientation, and random sums, at ranks 2-4."""
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        for _ in range(40):
+            entries = {b_power(rng.randint(2, 6)): Fraction(rng.choice((-1, 1, 2)))}
+            for _ in range(rng.randint(1, 4)):
+                v = b_power(rng.randint(1, 5)) + (rng.choice(alphabet.s_b()),)
+                entries[v if rng.random() < 0.5 else inverse(v)] = Fraction(rng.choice((-1, 1)))
+            yield alphabet, brooks_sum(entries)
+        for _ in range(40):
+            yield alphabet, random_brooks_sum(rng, alphabet)
+
+
+def test_normal_forms_of_a_seeded_corpus_are_pinned():
+    digest = hashlib.sha256()
+    for alphabet, f in _debris_meeting_corpus(random.Random(53)):
+        nf, trace = normal_form(f, alphabet)
+        assert trace.certifies(f, nf, alphabet), format_sum(f)
+        digest.update(f"{alphabet.rank}|{format_sum(nf)}\n".encode())
+    assert digest.hexdigest() == "fcc90118ab3a306a83086800c9b31eca1e58794c9feb7dde3cf73066b185c25c"
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -459,7 +505,7 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
 
 def test_rewriter_rejects_the_identity():
     with pytest.raises(ValueError, match="rewriting emitted the identity"):
-        _Rewriter(Alphabet(2)).emit((), Fraction(1))
+        _Rewriter(Alphabet(2), {}).emit((), Fraction(1))
 
 
 def test_violated_normal_form_exits_3_naming_relations_under_python_O():
