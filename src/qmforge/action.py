@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .counting import BrooksSum, Mode, brooks_sum
+from .counting import BrooksSum, brooks_sum, check_sum
 from .freegroup import (
     A,
     B,
@@ -81,10 +81,9 @@ class NielsenWord:
 
 def act_perm_flip(gen: NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
     """Apply P1, P2 or H: every key relabels and the sum re-canonicalizes."""
+    check_sum(f, alphabet)
     if gen not in (NielsenGen.P1, NielsenGen.P2, NielsenGen.H):
         raise ValueError(f"{gen} is not a permutation/flip generator")
-    if f.mode is not Mode.BROOKS:
-        raise ValueError("the action is defined on Brooks sums")
     entries: dict[Word, Fraction] = {}
     for v, c in f.weight.items():
         u = apply_nielsen(gen, v, alphabet)
@@ -210,9 +209,11 @@ def left_factors(m0: int, s1: int, n: int, alphabet: Alphabet) -> list[tuple[int
     return rows
 
 
-def right_factors(mk: int, sk: int, n: int, alphabet: Alphabet) -> list[tuple[int, int, Word]]:
-    """Indexed right factors dR_0 .. dR_n: the left factors of (-mk, -sk), inverted."""
-    return [(i, sign, inverse(u)) for i, sign, u in left_factors(-mk, -sk, n, alphabet)]
+def left_factor_count(m0: int, s1: int, n: int, alphabet: Alphabet) -> int:
+    """len(left_factors(m0, s1, n, alphabet)), in closed form."""
+    if m0 == 0:
+        return 1
+    return 1 + n * (2 * alphabet.rank - 3 if s1 == -A else 1)
 
 
 def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
@@ -242,13 +243,33 @@ def n_representative(w: Word, n: int, alphabet: Alphabet) -> BrooksSum:
 
 def n_representative_sum(f: BrooksSum, n: int, alphabet: Alphabet) -> BrooksSum:
     """Key-by-key n-representative of a sum whose only b-power key is b."""
-    if f.mode is not Mode.BROOKS:
-        raise ValueError("representatives are defined for Brooks sums")
+    check_sum(f, alphabet)
     entries: dict[Word, Fraction] = {}
     for v, c in f.weight.items():
         for u, cu in n_representative(v, n, alphabet).weight.items():
             entries[u] = entries.get(u, Fraction(0)) + c * cu
     return brooks_sum(entries)
+
+
+def n_representative_letters(f: BrooksSum, n: int, alphabet: Alphabet) -> int:
+    """A closed-form bound on the letters n_representative_sum(f, n) writes,
+    f's only b-power key being b (two support words).
+
+    A key w has left_factor_count(m0, s1) * left_factor_count(-mk, -sk)
+    support words, each of length at most (|w| + 2)(n + 1).  Its middle word
+    takes n steps of T^-1, which keeps the number of a-letters, so each step
+    adds at most |w| letters.
+    """
+    total = 0
+    for v in f.weight:
+        if tau(v) is None:
+            words = 2
+        else:
+            form = b_form(v)
+            words = left_factor_count(form.m0, form.s[0], n, alphabet)
+            words *= left_factor_count(-form.mk, -form.s[-1], n, alphabet)
+        total += (n + 1) * ((len(v) + 2) * words + len(v) * (n + 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +286,8 @@ def _act_tinv(f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
     for v, c in g.weight.items():
         if tau(v) is None:
             # T^-1 phi_b = phi_a + phi_b (the key is b after elimination)
-            sgn = 1 if v[0] > 0 else -1
-            add((A,), sgn * c)
-            add((B,), sgn * c)
+            add((A,), c)
+            add((B,), c)
         else:
             for u, cu in w1_support(v, alphabet).weight().items():
                 add(u, c * cu)
@@ -280,6 +300,7 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
     Generators apply in sequence order, matching NielsenWord.word: the word
     [g1, g2] acts as g2[g1[f]].
     """
+    check_sum(f, alphabet)
     if isinstance(x, NielsenGen):
         x = NielsenWord.from_gens([x])
     out = f

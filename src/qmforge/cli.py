@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .action import NielsenWord, act, n_representative_sum, wstar_n
+from .action import NielsenWord, act, n_representative_letters, n_representative_sum, wstar_n
 from .counting import (
     BrooksSum,
     as_counting,
@@ -249,9 +249,21 @@ def _cmd_reduced(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, 
     return 0, text, payload
 
 
+# The most letters `nrep` may write, by the closed-form bound of
+# n_representative_letters: phi(bab'a'b) at n = 100 (10,201 support words) comes to
+# about 7.3 million, phi(ab) at n = 1,800 to 19.5 million (1.6 s, 47 MB).
+NREP_LETTER_BUDGET = 20_000_000
+
+
 def _cmd_nrep(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
     f = parse_expression(ns.expr, alphabet)
     g, _ = eliminate_b_powers(f, alphabet)
+    letters = n_representative_letters(g, max(ns.n, 0), alphabet)  # n < 1 is nrep's to refuse
+    if letters > NREP_LETTER_BUDGET:
+        raise ValueError(
+            f"nrep would write up to {letters} letters (n = {ns.n}), over the budget "
+            f"NREP_LETTER_BUDGET = {NREP_LETTER_BUDGET}; give a smaller n"
+        )
     rep = n_representative_sum(g, ns.n, alphabet)
     return 0, format_sum(rep), {"n": ns.n, "representative": _sum_json(rep)}
 

@@ -8,9 +8,9 @@ Sums are stored as a finite weight (word -> exact rational, no zero entries,
 no identity key) together with a mode:
 
 * COUNTING  -- the sum represents sum alpha(v) * #v
-* BROOKS    -- the sum represents sum alpha(v) * phi(v), with the canonical
-               orientation rule: of the pair {v, v^-1} only the
-               (length, lex)-smaller word may appear as a key.
+* BROOKS    -- the sum represents sum alpha(v) * phi(v).  As phi(v^-1) =
+               -phi(v), brooks_sum keys each pair {v, v^-1} by the (length,
+               lex)-smaller word; the entries, guarded by check_sum, take either.
 
 Everything is exact; no floats anywhere.
 """
@@ -54,7 +54,7 @@ def count_subword(v: Word, w: Word) -> int:
 
 @dataclass(frozen=True)
 class BrooksSum:
-    """An element of the span of counting functions (or Brooks sums)."""
+    """A counting or Brooks sum; brooks_sum orients keys canonically, entries take either."""
 
     weight: dict[Word, Rational]
     mode: Mode
@@ -97,6 +97,17 @@ def _check_key(v: Word) -> None:
         raise ValueError("the identity cannot carry weight")
     if not is_reduced(v):
         raise ValueError(f"key {v!r} is not reduced")
+
+
+def check_sum(f: BrooksSum, alphabet: Alphabet) -> None:
+    """The contract of every entry that takes a Brooks sum: raise ValueError
+    unless f is in Brooks mode and every key is nonempty, reduced and spelled
+    in the alphabet.  Key orientation is not part of it."""
+    if f.mode is not Mode.BROOKS:
+        raise ValueError("expected a Brooks sum, got a counting sum")
+    for v in f.weight:
+        _check_key(v)
+        alphabet.check_word(v)
 
 
 def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:

@@ -73,30 +73,29 @@ class BallReport:
 
 def sup_on_ball(f: Evaluable, radius: int, alphabet: Alphabet) -> BallReport:
     """Exhaustive max of |f| over the ball, with the first maximizer."""
-    func = _as_callable(f)
-    sup, argmax, count = Fraction(0), None, 0
-    for w in cached_ball(alphabet, radius):
-        count += 1
-        value = abs(func(w))
-        if value > sup:
-            sup, argmax = value, w
-    if count != ball_size(alphabet.rank, radius):
-        raise ValueError(f"the ball of radius {radius} has {count} words, not the closed form's")
-    return BallReport(radius, sup, argmax, count)
+    return sup_profile(f, [radius], alphabet)[0]
 
 
 def sup_profile(f: Evaluable, radii: Sequence[int], alphabet: Alphabet) -> list[BallReport]:
-    """Sups over several radii in a single pass over the largest ball."""
+    """Sups over several radii in a single pass over the largest ball, each
+    with its first maximizer and the number of words it covered, which must
+    be the closed form's."""
     radii = sorted(radii)
     func = _as_callable(f)
     sups: dict[int, Fraction] = {r: Fraction(0) for r in radii}
     argmaxes: dict[int, Optional[Word]] = {r: None for r in radii}
+    counts = {r: 0 for r in radii}
     for w in cached_ball(alphabet, radii[-1]):
         value = abs(func(w))
         for r in radii:
-            if len(w) <= r and value > sups[r]:
-                sups[r], argmaxes[r] = value, w
-    return [BallReport(r, sups[r], argmaxes[r], ball_size(alphabet.rank, r)) for r in radii]
+            if len(w) <= r:
+                counts[r] += 1
+                if value > sups[r]:
+                    sups[r], argmaxes[r] = value, w
+    for r in radii:
+        if counts[r] != ball_size(alphabet.rank, r):
+            raise ValueError(f"the ball of radius {r} has {counts[r]} words, not the closed form's")
+    return [BallReport(r, sups[r], argmaxes[r], counts[r]) for r in radii]
 
 
 PASS = "PASS"

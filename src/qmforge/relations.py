@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .counting import BrooksSum, Mode, brooks_sum, counting_sum
+from .counting import BrooksSum, Mode, brooks_sum, check_sum, counting_sum
 from .freegroup import (
     B,
     Alphabet,
@@ -292,12 +292,12 @@ def retarget_power(
 def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTrace]:
     """Equivalent sum whose only b-power key is b itself.
 
-    Each canonical key b^m (m >= 2) unwinds along
+    Each key b^m (m >= 2) unwinds along
     phi(b^m) ~ phi(b) - sum_{i=1..m-1} sum_{s in S_b} phi(b^i s),
-    all of them in one walk down from the largest m.
+    all of them in one walk down from the largest m; a key b^-m is read as
+    -phi(b^m).
     """
-    if f.mode is not Mode.BROOKS:
-        raise ValueError("b-power elimination applies to Brooks sums")
+    check_sum(f, alphabet)
     rewriter = _Rewriter(alphabet, f.weight)
     _unwind_b_powers(rewriter)
     return rewriter.result()
@@ -306,7 +306,7 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
 def _unwind_b_powers(rewriter: _Rewriter) -> None:
     """The pass of eliminate_b_powers: take the b-power keys, walk them to b."""
     powers = rewriter.take(lambda v: tau(v) is None)
-    members = [(len(v), c) for v, c in powers.items()]
+    members = [(len(v), c if v[0] == B else -c) for v, c in powers.items()]
     rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
 
 
@@ -330,10 +330,7 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     (length, lex); the rewriting lemma does not dictate a choice, so
     determinism is fixed here.
     """
-    if f.mode is not Mode.BROOKS:
-        raise ValueError("normal form applies to Brooks sums")
-    for v in f.weight:
-        alphabet.check_word(v)
+    check_sum(f, alphabet)
     rewriter = _Rewriter(alphabet, f.weight)
     _unwind_b_powers(rewriter)
     _merge_boxes(rewriter)

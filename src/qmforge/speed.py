@@ -27,7 +27,6 @@ from .action import (
     n_representative,
     n_representative_sum,
     nrep,
-    right_factors,
 )
 from .counting import (
     BrooksSum,
@@ -89,17 +88,12 @@ def in_O(w: Word) -> bool:
     """Membership in O, the words where T^-1 moves phi_w boundedly.
 
     O consists of b^{+-1} and the b-truncated words where every a is
-    immediately followed by a^-1 and every a^-1 immediately preceded by a;
-    equivalently the zero set of sp_word away from proper b-powers.
+    immediately followed by a^-1 and every a^-1 immediately preceded by a:
+    the zero set of sp_word away from b-powers.
     """
     if not w:
         raise ValueError("the identity is not classified")
-    if tau(w) is None:
-        return len(w) == 1
-    if kind_of(w) is not Kind.B_TRUNCATED:
-        return False
-    s = skeleton(w)
-    return all((x == A) == (y == -A) for x, y in zip(s, s[1:]))
+    return len(w) == 1 if tau(w) is None else sp_word(w) == 0
 
 
 def rot(alphabet: Alphabet) -> BrooksSum:
@@ -246,7 +240,8 @@ def support_geometry(w: Word, n: int, alphabet: Alphabet) -> SupportGeometry:
     form = b_form(w)
 
     lefts = _length_by_index(left_factors(form.m0, form.s[0], n, alphabet))
-    rights = _length_by_index(right_factors(form.mk, form.s[-1], n, alphabet))
+    # The right factors are the left factors of (-mk, -sk) inverted, of the same lengths.
+    rights = _length_by_index(left_factors(-form.mk, -form.s[-1], n, alphabet))
     squares = {
         (i, j): li + len(rep.middle) + rj for i, li in lefts.items() for j, rj in rights.items()
     }

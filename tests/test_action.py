@@ -7,17 +7,29 @@ import pytest
 from qmforge.action import (
     NielsenWord,
     SupportProduct,
+    _middle_n,
     act,
     act_perm_flip,
+    left_factor_count,
     left_factors,
     n_representative,
+    n_representative_letters,
     n_representative_sum,
     nrep,
     w1_support,
     wstar_n,
 )
 from qmforge.counting import brooks_sum, evaluate, format_sum, norm, phi
-from qmforge.freegroup import Alphabet, NielsenGen, apply_nielsen, ball, parse_word
+from qmforge.freegroup import (
+    B,
+    Alphabet,
+    NielsenGen,
+    apply_nielsen,
+    ball,
+    multiply,
+    parse_word,
+    tau,
+)
 
 from _corpus import corpus
 from _optimized import run_optimized
@@ -188,6 +200,27 @@ def test_n_representative_rejects_long_b_powers():
         n_representative_sum(phi(w("b'b'")), 2, AL)
     with pytest.raises(ValueError):
         n_representative(w("ba"), 0, AL)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_nrep_letter_bound_holds_on_a_ball(rank):
+    """left_factor_count counts left_factors' rows, and n_representative_letters
+    bounds the letters of every support word and of every middle word nrep builds."""
+    alphabet = Alphabet(rank)
+    for n in (1, 2, 5):
+        for m in range(-3, 4):
+            for s in alphabet.letters():
+                if abs(s) != B:
+                    want = len(left_factors(m, s, n, alphabet))
+                    assert left_factor_count(m, s, n, alphabet) == want
+        for v in ball(alphabet, 3):
+            if tau(v) is None:
+                continue
+            rep = nrep(v, n, alphabet)
+            words = [multiply(l, rep.middle, r) for l, _ in rep.left for r, _ in rep.right]
+            middles = sum(len(_middle_n(v, k, alphabet)) for k in range(1, n + 1))
+            bound = n_representative_letters(phi(v), n, alphabet)
+            assert sum(map(len, words)) + middles <= bound, (v, n)
 
 
 def test_factor_rows_have_uniform_length_per_index():

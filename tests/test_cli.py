@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from qmforge import cli
+from qmforge.action import n_representative_letters
 from qmforge.cli import ExpressionError, main, parse_expression
 from qmforge.counting import format_sum, phi
-from qmforge.freegroup import Alphabet, parse_word
+from qmforge.freegroup import Alphabet, ball, parse_word
+from qmforge.relations import eliminate_b_powers
 
 from _optimized import run_optimized
 
@@ -166,7 +168,7 @@ def test_unknown_nielsen_generator_exits_2(capsys):
 def test_contract_violation_exits_3(capsys):
     code, _, err = run(capsys, "normal-form", "#(ab)")
     assert code == 3
-    assert err.strip() == "qmforge: contract violation in relations: normal form applies to Brooks sums"
+    assert err.strip() == "qmforge: contract violation in counting: expected a Brooks sum, got a counting sum"
 
 
 def test_zero_class_fixpoint_exits_3(capsys):
@@ -320,6 +322,39 @@ def test_verify_budget_admits_rank_4_at_radius_5(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "all", "--rank", "4")
     assert code == 3 and err.strip().endswith("pass --radius 5 or less")
     assert run(capsys, "verify", "counting", "--rank", "4")[0] == 0
+
+
+def test_nrep_over_its_letter_budget_exits_3_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"work started before the budget check: {args}")
+
+    monkeypatch.setattr(cli, "n_representative_sum", refuse)
+    code, out, err = run(capsys, "nrep", "phi(ab)", "100000000")
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        "qmforge: contract violation in cli: nrep would write up to 60000001200000006 letters "
+        "(n = 100000000), over the budget NREP_LETTER_BUDGET = 20000000; give a smaller n"
+    )
+
+
+def test_nrep_budget_admits_the_10201_key_square_and_the_bench_requests(capsys, monkeypatch):
+    calls = []
+
+    def record(g, n, alphabet):
+        calls.append(n)
+        return g
+
+    monkeypatch.setattr(cli, "n_representative_sum", record)
+    assert run(capsys, "nrep", "phi(bab'a'b)", "100")[0] == 0
+    assert calls == [100]
+    # The bench's cli requests: up to three terms of length <= 4 at rank <= 3, n <= 6.
+    alphabet = Alphabet(3)
+    worst = max(
+        n_representative_letters(eliminate_b_powers(phi(v), alphabet)[0], 6, alphabet)
+        for v in ball(alphabet, 4)
+        if v
+    )
+    assert 3 * worst <= cli.NREP_LETTER_BUDGET
 
 
 def test_ball_over_its_radius_limit_exits_3_under_python_O():

@@ -96,6 +96,22 @@ def test_sup_profile_is_consistent_with_individual_sups():
         assert rep.sup == sup_on_ball(f, rep.radius, AL).sup
 
 
+def test_every_scan_checks_its_word_count_against_the_closed_form(monkeypatch):
+    """A ball that lost a word is caught by every sup scan, empirical_equiv too."""
+    from qmforge import oracle
+
+    short = lambda alphabet, radius: list(ball(alphabet, radius))[:-1]
+    monkeypatch.setattr(oracle, "cached_ball", short)
+    f = phi(w("ab"))
+    message = "the ball of radius 5 has 484 words, not the closed form's"
+    with pytest.raises(ValueError, match=message):
+        sup_on_ball(f, 5, AL)
+    with pytest.raises(ValueError, match=message):
+        sup_profile(f, (4, 5), AL)
+    with pytest.raises(ValueError, match=message):
+        empirical_equiv(f, f, AL, radii=(3, 4, 5))
+
+
 def test_exact_identity_check_passes_and_finds_counterexamples():
     f = phi(w("ab"))
     assert exact_identity_check(f, f, 4, AL) == PASS

@@ -1,13 +1,20 @@
-"""Randomized law checks; the seeded suites elsewhere pin concrete values."""
+"""Randomized law checks; the seeded suites elsewhere pin concrete values.
+
+The word laws run at rank 2; the class laws of normal_form, speed and act
+run on small random Brooks sums at ranks 2-4.
+"""
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmforge.counting import count_subword, evaluate, norm, phi
-from qmforge.freegroup import Alphabet, free_reduce, inverse, multiply
+from qmforge.action import act
+from qmforge.counting import BrooksSum, Mode, brooks_sum, count_subword, evaluate, norm, phi
+from qmforge.freegroup import Alphabet, NielsenGen, b_power, free_reduce, inverse, multiply
 from qmforge.oracle import count_subword_scan
+from qmforge.relations import normal_form
+from qmforge.speed import speed
 
 AL = Alphabet(2)
 
@@ -56,3 +63,63 @@ def test_support_norm_is_ultrametric(u, v):
     assert norm(f + g) <= max(norm(f), norm(g))
     if norm(f) != norm(g):
         assert norm(f + g) == max(norm(f), norm(g))
+
+
+# -- class laws at ranks 2-4 ------------------------------------------------------
+
+
+@st.composite
+def turned_sums(draw):
+    """(alphabet, f, g): f a canonical Brooks sum of at most 5 keys of length
+    at most 5, sometimes with a b^2..b^6 key; g the same sum hand-built with
+    a random subset of its keys turned (v -> v^-1, c -> -c)."""
+    alphabet = Alphabet(draw(st.sampled_from([2, 3, 4])))
+    letters = st.lists(st.sampled_from(alphabet.letters()), min_size=1, max_size=5)
+    keys = draw(st.lists(letters.map(free_reduce).filter(bool), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        keys.append(b_power(draw(st.integers(2, 6))))
+    coefficient = st.integers(-3, 3).filter(bool)
+    f = brooks_sum({v: draw(coefficient) for v in keys})
+    turned = draw(st.lists(st.booleans(), min_size=len(f.weight), max_size=len(f.weight)))
+    g = BrooksSum(
+        {(inverse(v) if t else v): (-c if t else c) for (v, c), t in zip(f.weight.items(), turned)},
+        Mode.BROOKS,
+    )
+    return alphabet, f, g
+
+
+CLASS_LAWS = settings(max_examples=40, deadline=None)
+
+
+@CLASS_LAWS
+@given(turned_sums())
+def test_turning_keys_changes_no_answer(case):
+    alphabet, f, g = case
+    assert normal_form(g, alphabet)[0] == normal_form(f, alphabet)[0]
+    assert act(NielsenGen.TINV, g, alphabet) == act(NielsenGen.TINV, f, alphabet)
+    want, got = speed(f, alphabet), speed(g, alphabet)
+    assert (got.value, got.witness, got.rot_coefficient, got.residue) == (
+        want.value,
+        want.witness,
+        want.rot_coefficient,
+        want.residue,
+    )
+
+
+@CLASS_LAWS
+@given(turned_sums())
+def test_normal_form_is_idempotent_and_ignores_key_order(case):
+    alphabet, f, _ = case
+    nf, _ = normal_form(f, alphabet)
+    assert normal_form(nf, alphabet)[0] == nf
+    backwards = BrooksSum(dict(reversed(f.weight.items())), Mode.BROOKS)
+    assert normal_form(backwards, alphabet)[0] == nf
+
+
+@CLASS_LAWS
+@given(turned_sums())
+def test_every_normal_form_trace_certifies(case):
+    alphabet, f, g = case
+    for h in (f, g):
+        nf, trace = normal_form(h, alphabet)
+        assert trace.certifies(h, nf, alphabet)
