@@ -33,7 +33,7 @@ from .freegroup import (
     tau,
     word_str,
 )
-from .relations import eliminate_b_powers
+from .relations import _Rewriter, _unwind_b_powers
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,23 @@ class NielsenWord:
         return w
 
 
+def _relabel(
+    gen: NielsenGen, weight: dict[Word, Fraction], alphabet: Alphabet
+) -> dict[Word, Fraction]:
+    """P1, P2 or H on a raw weight: every key relabels, colliding keys merge."""
+    if gen not in (NielsenGen.P1, NielsenGen.P2, NielsenGen.H):
+        raise ValueError(f"{gen} is not a permutation/flip generator")
+    out: dict[Word, Fraction] = {}
+    for v, c in weight.items():
+        u = apply_nielsen(gen, v, alphabet)
+        out[u] = out.get(u, Fraction(0)) + c
+    return out
+
+
 def act_perm_flip(gen: NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
     """Apply P1, P2 or H: every key relabels and the sum re-canonicalizes."""
     check_sum(f, alphabet)
-    if gen not in (NielsenGen.P1, NielsenGen.P2, NielsenGen.H):
-        raise ValueError(f"{gen} is not a permutation/flip generator")
-    entries: dict[Word, Fraction] = {}
-    for v, c in f.weight.items():
-        u = apply_nielsen(gen, v, alphabet)
-        entries[u] = entries.get(u, Fraction(0)) + c
-    return brooks_sum(entries)
+    return brooks_sum(_relabel(gen, f.weight, alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -276,37 +283,35 @@ def n_representative_letters(f: BrooksSum, n: int, alphabet: Alphabet) -> int:
 # Applying Nielsen words
 
 
-def _act_tinv(f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
-    g, _ = eliminate_b_powers(f, alphabet)
+def _act_tinv(weight: dict[Word, Fraction], alphabet: Alphabet) -> dict[Word, Fraction]:
+    """T^-1 on a raw weight: unwind the b-power keys to b, then expand each
+    key by its one-step support.  Neither step needs canonical keys."""
+    rewriter = _Rewriter(alphabet, weight)
+    _unwind_b_powers(rewriter)
     entries: dict[Word, Fraction] = {}
-
-    def add(u: Word, c: Fraction) -> None:
-        entries[u] = entries.get(u, Fraction(0)) + c
-
-    for v, c in g.weight.items():
-        if tau(v) is None:
-            # T^-1 phi_b = phi_a + phi_b (the key is b after elimination)
-            add((A,), c)
-            add((B,), c)
-        else:
-            for u, cu in w1_support(v, alphabet).weight().items():
-                add(u, c * cu)
-    return brooks_sum(entries)
+    for v, c in rewriter.weight.items():
+        # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
+        images = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
+        for u, cu in images.items():
+            entries[u] = entries.get(u, Fraction(0)) + c * cu
+    return entries
 
 
 def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
     """Representative of x[f] = [f . x^-1], generator by generator.
 
     Generators apply in sequence order, matching NielsenWord.word: the word
-    [g1, g2] acts as g2[g1[f]].
+    [g1, g2] acts as g2[g1[f]].  f is checked once; the steps pass raw
+    weights along, and brooks_sum canonicalizes the last one, so every
+    word, the empty one included, returns a canonical sum.
     """
     check_sum(f, alphabet)
     if isinstance(x, NielsenGen):
         x = NielsenWord.from_gens([x])
-    out = f
+    weight = f.weight
     for gen in x.gens:
         if gen is NielsenGen.TINV:
-            out = _act_tinv(out, alphabet)
+            weight = _act_tinv(weight, alphabet)
         else:
-            out = act_perm_flip(gen, out, alphabet)
-    return out
+            weight = _relabel(gen, weight, alphabet)
+    return brooks_sum(weight)

@@ -24,12 +24,13 @@ from .counting import (
     as_counting,
     brooks_sum,
     certified_reduced_length,
-    count_subword,
+    count_term,
     counting_sum,
     evaluate,
     format_sum,
     is_unbalanced,
     norm,
+    phi,
 )
 from .fixpoints import EvidenceKind, exclude_fixpoint
 from .freegroup import (
@@ -43,7 +44,7 @@ from .freegroup import (
     parse_word,
     word_str,
 )
-from .oracle import count_subword_scan, sup_on_ball
+from .oracle import brute_evaluate, sup_on_ball
 from .relations import eliminate_b_powers, normal_form
 from .speed import rot, speed
 
@@ -350,14 +351,15 @@ def _suite_counting(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     aba = parse_word("aba", alphabet)
     frozen = [("abaaa", 1), ("abaaab'b'b'b'aaba", 2), ("aaababa", 2)]
     for text, want in frozen:
-        got = count_subword(aba, parse_word(text, alphabet))
+        got = evaluate(count_term(aba), parse_word(text, alphabet))
         if got != want:
             return False, f"#aba({text}) = {got}, want {want}"
     for probe in ("aba", "ab", "ba'"):
         v0 = parse_word(probe, alphabet)
-        for v in ball(alphabet, radius):
-            if count_subword(v0, v) != count_subword_scan(v0, v):
-                return False, f"count mismatch for #{probe} at {word_str(v)}"
+        for f in (count_term(v0), phi(v0)):
+            for v in ball(alphabet, radius):
+                if evaluate(f, v) != brute_evaluate(f, v):
+                    return False, f"count mismatch for #{probe} at {word_str(v)}"
     return True, f"frozen values and scan agreement on ball {radius}"
 
 
@@ -397,14 +399,15 @@ def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     probes = ("ba", "ab", "bab'", "b'a'b", "aba")
     for text in probes:
         w = parse_word(text, alphabet)
+        count_w = count_term(w)
         for n in (1, 2):
-            table = wstar_n(w, n, alphabet)
+            table = counting_sum(wstar_n(w, n, alphabet))
             for v in ball(alphabet, radius):
                 tv = v
                 for _ in range(n):
                     tv = apply_nielsen(NielsenGen.T, tv, alphabet)
-                want = count_subword(w, tv)
-                got = sum(c * count_subword(u, v) for u, c in table.items())
+                want = evaluate(count_w, tv)
+                got = evaluate(table, v)
                 if want != got:
                     return False, f"transport of #{text} fails at {word_str(v)}, n={n}"
     return True, f"W* transport exact for {len(probes)} words on ball {radius}"

@@ -6,7 +6,9 @@ put under T^-1 iteration while [f] does - positive speed, a changed
 homomorphism coefficient vector, or (only on the rank-2 rot line, where the
 speed evidence degenerates) a sign flip of the rot coefficient.  The case
 dispatch follows a fixed order, so results are deterministic; minimality of
-X is not attempted.
+X is not attempted.  One function computes the evidence of every kind from
+f and act(X, f): exclude_fixpoint builds each witness with it, and
+verify_witness replays it and compares.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .action import NielsenWord, act
 from .counting import BrooksSum
 from .freegroup import A, B, Alphabet, NielsenGen, Word, skeleton, word_sort_key
 from .relations import normal_form
-from .speed import SpeedReport, _speed_of_normal_form, speed
+from .speed import SpeedReport, speed
 
 
 class EvidenceKind(Enum):
@@ -63,6 +65,38 @@ def _hom_vector(f: BrooksSum, alphabet: Alphabet) -> dict[int, Fraction]:
     return vec
 
 
+def _witness(
+    x: NielsenWord, kind: EvidenceKind, f: BrooksSum, alphabet: Alphabet
+) -> ExclusionWitness:
+    """The witness X = x of the given kind, its evidence computed from f and act(x, f)."""
+    moved = act(x, f, alphabet)
+    if kind is EvidenceKind.HOM_COEFFICIENT_CHANGE:
+        before, after = (_hom_vector(normal_form(g, alphabet)[0], alphabet) for g in (f, moved))
+        return ExclusionWitness(x, kind, hom_before=before, hom_after=after)
+    report = speed(moved, alphabet)
+    if kind is EvidenceKind.POSITIVE_SPEED:
+        return ExclusionWitness(x, kind, report=report)
+    before = speed(f, alphabet).rot_coefficient
+    return ExclusionWitness(x, kind, rot_before=before, rot_after=report.rot_coefficient)
+
+
+def _holds(wit: ExclusionWitness) -> bool:
+    """Does the witness's evidence show that X moves the class?"""
+    if wit.kind is EvidenceKind.POSITIVE_SPEED:
+        assert wit.report is not None
+        return wit.report.value > 0
+    if wit.kind is EvidenceKind.HOM_COEFFICIENT_CHANGE:
+        return wit.hom_after != wit.hom_before
+    assert wit.rot_before is not None and wit.rot_after is not None
+    return wit.rot_after == -wit.rot_before != wit.rot_before
+
+
+def _checked(wit: ExclusionWitness, failure: str) -> ExclusionWitness:
+    if not _holds(wit):
+        raise ValueError(failure)
+    return wit
+
+
 def exclude_fixpoint(
     f: BrooksSum, alphabet: Alphabet, _depth: int = 0
 ) -> ExclusionWitness:
@@ -72,40 +106,28 @@ def exclude_fixpoint(
     positive speed as given; nonzero rot coefficient; a support word mixing
     a-letters with other skeleton letters; an all-{a,a^-1} skeleton of two
     or more letters; an a-free skeleton (cycled onto b and retried); and
-    finally the homomorphism coefficient vector.
+    finally the homomorphism coefficient vector.  The cases after the rot
+    case have speed 0 and rot coefficient 0, where the residue of f's speed
+    report is f's normal form: they read the support off it.
     """
     if _depth > alphabet.rank + 1:
         raise ValueError("case dispatch failed to terminate")
-    nf, trace = normal_form(f, alphabet)
-    if nf.is_zero():
-        raise ValueError("the zero class is fixed by everything")
-
-    rep = _speed_of_normal_form(nf, trace, alphabet)
+    rep = speed(f, alphabet)
     if rep.value > 0:
-        return ExclusionWitness(
-            X=NielsenWord(()), kind=EvidenceKind.POSITIVE_SPEED, report=rep
-        )
+        # X = e: the evidence speed(act(e, f)) is f's own report, already at hand.
+        return ExclusionWitness(NielsenWord(()), EvidenceKind.POSITIVE_SPEED, report=rep)
+    if rep.rot_coefficient == 0 and rep.residue.is_zero():
+        raise ValueError("the zero class is fixed by everything")
 
     if rep.rot_coefficient != 0:
         for gen in (NielsenGen.H, NielsenGen.P1):
-            moved = speed(act(gen, f, alphabet), alphabet)
-            if moved.value >= 1:
-                return ExclusionWitness(
-                    X=NielsenWord((gen,)),
-                    kind=EvidenceKind.POSITIVE_SPEED,
-                    report=moved,
-                )
+            wit = _witness(NielsenWord((gen,)), EvidenceKind.POSITIVE_SPEED, f, alphabet)
+            if _holds(wit):
+                return wit
         # Rank 2, the rot line itself: H negates the rot coefficient, which
         # is all the moving that can be certified by speed alone.
-        flipped = speed(act(NielsenGen.H, f, alphabet), alphabet).rot_coefficient
-        if flipped != -rep.rot_coefficient or flipped == rep.rot_coefficient:
-            raise ValueError("H failed to flip the rot coefficient")
-        return ExclusionWitness(
-            X=NielsenWord((NielsenGen.H,)),
-            kind=EvidenceKind.ROT_SIGN_FLIP,
-            rot_before=rep.rot_coefficient,
-            rot_after=flipped,
-        )
+        wit = _witness(NielsenWord((NielsenGen.H,)), EvidenceKind.ROT_SIGN_FLIP, f, alphabet)
+        return _checked(wit, "H failed to flip the rot coefficient")
 
     skeletons = {v: skeleton(v) for v in rep.residue.support()}
     long_keys = {v: sk for v, sk in skeletons.items() if len(sk) >= 2}
@@ -114,28 +136,14 @@ def exclude_fixpoint(
         for v, sk in long_keys.items()
         if any(abs(s) == A for s in sk) and any(abs(s) != A for s in sk)
     ]
-    if mixed:
-        moved = speed(act(NielsenGen.H, f, alphabet), alphabet)
-        if moved.value < 1:
-            raise ValueError("mixed-skeleton word failed to leave O under H")
-        return ExclusionWitness(
-            X=NielsenWord((NielsenGen.H,)),
-            kind=EvidenceKind.POSITIVE_SPEED,
-            report=moved,
-            witness_word=min(mixed, key=word_sort_key),
-        )
-
     a_only = [v for v, sk in long_keys.items() if all(abs(s) == A for s in sk)]
-    if a_only:
-        moved = speed(act(NielsenGen.P1, f, alphabet), alphabet)
-        if moved.value < 1:
-            raise ValueError("all-a skeleton failed to gain speed under P1")
-        return ExclusionWitness(
-            X=NielsenWord((NielsenGen.P1,)),
-            kind=EvidenceKind.POSITIVE_SPEED,
-            report=moved,
-            witness_word=min(a_only, key=word_sort_key),
-        )
+    for gen, keys, failure in (
+        (NielsenGen.H, mixed, "mixed-skeleton word failed to leave O under H"),
+        (NielsenGen.P1, a_only, "all-a skeleton failed to gain speed under P1"),
+    ):
+        if keys:
+            wit = _witness(NielsenWord((gen,)), EvidenceKind.POSITIVE_SPEED, f, alphabet)
+            return replace(_checked(wit, failure), witness_word=min(keys, key=word_sort_key))
 
     if long_keys:
         # A-free skeletons: cycle the leading skeleton letter of the smallest
@@ -148,7 +156,7 @@ def exclude_fixpoint(
         inner = exclude_fixpoint(act(shift, f, alphabet), alphabet, _depth + 1)
         return replace(inner, X=NielsenWord(shift.gens + inner.X.gens))
 
-    before = _hom_vector(nf, alphabet)
+    before = _hom_vector(rep.residue, alphabet)
     if before[B] != 0:
         x = NielsenWord((NielsenGen.TINV,))
     else:
@@ -159,37 +167,18 @@ def exclude_fixpoint(
         if j < 1:
             raise ValueError("the coefficient vector is already on b")
         x = NielsenWord((NielsenGen.P2,) * j + (NielsenGen.TINV,))
-    moved_nf, _ = normal_form(act(x, f, alphabet), alphabet)
-    after = _hom_vector(moved_nf, alphabet)
-    if after == before:
-        raise ValueError("T^-1 left the coefficient vector unchanged")
-    return ExclusionWitness(
-        X=x,
-        kind=EvidenceKind.HOM_COEFFICIENT_CHANGE,
-        hom_before=before,
-        hom_after=after,
-    )
+    wit = _witness(x, EvidenceKind.HOM_COEFFICIENT_CHANGE, f, alphabet)
+    return _checked(wit, "T^-1 left the coefficient vector unchanged")
+
+
+def _evidence(wit: ExclusionWitness) -> tuple:
+    """What verify_witness compares: the report value, both vectors, both rot coefficients."""
+    value = None if wit.report is None else wit.report.value
+    return value, wit.hom_before, wit.hom_after, wit.rot_before, wit.rot_after
 
 
 def verify_witness(f: BrooksSum, witness: ExclusionWitness, alphabet: Alphabet) -> bool:
-    """Recompute the evidence of a witness from scratch."""
-    moved = act(witness.X, f, alphabet)
-    if witness.kind is EvidenceKind.POSITIVE_SPEED:
-        assert witness.report is not None
-        rep = speed(moved, alphabet)
-        return rep.value > 0 and rep.value == witness.report.value
-    if witness.kind is EvidenceKind.HOM_COEFFICIENT_CHANGE:
-        before = _hom_vector(normal_form(f, alphabet)[0], alphabet)
-        after = _hom_vector(normal_form(moved, alphabet)[0], alphabet)
-        return (
-            before == witness.hom_before
-            and after == witness.hom_after
-            and before != after
-        )
-    lam = speed(f, alphabet).rot_coefficient
-    lam_moved = speed(moved, alphabet).rot_coefficient
-    return (
-        lam == witness.rot_before
-        and lam_moved == witness.rot_after
-        and lam_moved == -lam != lam
-    )
+    """Rebuild the witness with the function exclude_fixpoint built it with,
+    and compare its evidence."""
+    again = _witness(witness.X, witness.kind, f, alphabet)
+    return _holds(again) and _evidence(again) == _evidence(witness)

@@ -183,11 +183,7 @@ def speed(f: BrooksSum, alphabet: Alphabet) -> SpeedReport:
     (top-speed keys of both column and b-truncated shape) its result is kept
     only if it strictly lowers the top speed.
     """
-    return _speed_of_normal_form(*normal_form(f, alphabet), alphabet)
-
-
-def _speed_of_normal_form(nf: BrooksSum, trace: RewriteTrace, alphabet: Alphabet) -> SpeedReport:
-    """speed's answer from the normal form nf of its input and nf's trace."""
+    nf, trace = normal_form(f, alphabet)
     lam, residue = Fraction(0), nf
     value, top = _top_speeds(nf)
     if value > 0 and not _reduced_as_given(top):

@@ -19,7 +19,7 @@ from qmforge.action import (
     w1_support,
     wstar_n,
 )
-from qmforge.counting import brooks_sum, evaluate, format_sum, norm, phi
+from qmforge.counting import BrooksSum, Mode, brooks_sum, evaluate, format_sum, norm, phi
 from qmforge.freegroup import (
     B,
     Alphabet,
@@ -271,6 +271,30 @@ def test_act_composes_left_to_right():
 def test_act_empty_word_is_identity():
     f = phi(w("aba"))
     assert act(NielsenWord(()), f, AL) == f
+    # a hand-built turned key comes back as its canonical twin
+    turned = BrooksSum({w("b'a"): Fraction(1)}, Mode.BROOKS)
+    assert act(NielsenWord(()), turned, AL) == -phi(w("a'b"))
+
+
+def test_act_checks_its_input_once(monkeypatch):
+    """The steps of a Nielsen word run unchecked: a five-generator word
+    checks the sum once, in act itself."""
+    import importlib
+
+    calls = []
+    for name in ("qmforge.action", "qmforge.relations"):
+        module = importlib.import_module(name)
+        original = module.check_sum
+
+        def counted(f, alphabet, original=original):
+            calls.append(f)
+            return original(f, alphabet)
+
+        monkeypatch.setattr(module, "check_sum", counted)
+    f = phi(w("bba'b")) + phi(w("bbb"))
+    x = NielsenWord.parse("P1*Tinv*H*P2*Tinv")
+    act(x, f, AL)
+    assert calls == [f]
 
 
 def test_act_handles_b_power_keys():

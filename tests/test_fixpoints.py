@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qmforge.action import NielsenWord, act
-from qmforge.counting import brooks_sum, phi, zero
+from qmforge.counting import brooks_sum, format_sum, phi, zero
 from qmforge.fixpoints import (
     EvidenceKind,
     exclude_fixpoint,
     verify_witness,
 )
-from qmforge.freegroup import Alphabet, NielsenGen, parse_word
+from qmforge.freegroup import B, Alphabet, NielsenGen, parse_word, word_str
 from qmforge.relations import normal_form
 from qmforge.speed import rot
 
@@ -194,3 +196,97 @@ def test_witness_against_acted_class():
     again = exclude_fixpoint(moved, AL)
     assert again.X.gens == ()
     assert again.kind is EvidenceKind.POSITIVE_SPEED
+
+
+# -- the witness corpus and tampered witnesses --------------------------------------
+
+
+def _witness_corpus():
+    """rot, phi of each generator and 120 seeded random sums per rank 2-4,
+    zero classes dropped: every dispatch case and evidence kind occurs."""
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        rng = random.Random(f"witness/{rank}")
+        yield alphabet, rot(alphabet)
+        for i in range(1, rank + 1):
+            yield alphabet, phi((i,))
+        for _ in range(120):
+            f = random_brooks_sum(rng, alphabet, max_keys=4, max_len=4)
+            if not normal_form(f, alphabet)[0].is_zero():
+                yield alphabet, f
+
+
+def _witness_text(wit):
+    rep = wit.report
+    if rep is None:
+        report = "-"
+    else:
+        key = "-" if rep.witness is None else word_str(rep.witness)
+        residue, steps = format_sum(rep.residue), len(rep.trace.steps)
+        report = f"{rep.value}|{rep.rot_coefficient}|{key}|{residue}|{steps}"
+    hom = lambda v: "-" if v is None else ",".join(f"{i}:{c}" for i, c in sorted(v.items()))
+    word = "-" if wit.witness_word is None else word_str(wit.witness_word)
+    return (
+        f"{'*'.join(g.value for g in wit.X.gens)}|{wit.kind.value}|{report}|"
+        f"{hom(wit.hom_before)}|{hom(wit.hom_after)}|{wit.rot_before}|{wit.rot_after}|{word}"
+    )
+
+
+def test_witnesses_of_a_seeded_corpus_are_pinned():
+    """One sha256 over (X, kind, evidence, witness_word) of 362 witnesses at
+    ranks 2-4, each of which verifies."""
+    digest = hashlib.sha256()
+    count = 0
+    for alphabet, f in _witness_corpus():
+        wit = exclude_fixpoint(f, alphabet)
+        assert verify_witness(f, wit, alphabet), format_sum(f)
+        digest.update(f"{alphabet.rank}|{format_sum(f)}|{_witness_text(wit)}\n".encode())
+        count += 1
+    assert count == 362
+    assert digest.hexdigest() == "121e0b06fad7c8730530652cfb107d599a4ae57390c2a3bbc87282d03193c9e0"
+
+
+def _bumped(vec):
+    return {**vec, B: vec[B] + 1}
+
+
+# Per evidence kind: a class at rank 2 whose witness moves it (X != e), and each
+# evidence field changed.
+TAMPERED = {
+    EvidenceKind.POSITIVE_SPEED: (
+        phi(w("abba'")),
+        [lambda wit: replace(wit, report=replace(wit.report, value=wit.report.value + 1))],
+    ),
+    EvidenceKind.HOM_COEFFICIENT_CHANGE: (
+        phi(w("b")),
+        [
+            lambda wit: replace(wit, hom_before=_bumped(wit.hom_before)),
+            lambda wit: replace(wit, hom_after=_bumped(wit.hom_after)),
+        ],
+    ),
+    EvidenceKind.ROT_SIGN_FLIP: (
+        rot(AL),
+        [
+            lambda wit: replace(wit, rot_before=wit.rot_before + 1),
+            lambda wit: replace(wit, rot_after=wit.rot_after + 1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(EvidenceKind), ids=lambda k: k.value)
+def test_verify_witness_rejects_a_changed_x_and_each_changed_evidence_field(kind):
+    f, tamperings = TAMPERED[kind]
+    wit = exclude_fixpoint(f, AL)
+    assert wit.kind is kind and wit.X.gens != ()
+    assert verify_witness(f, wit, AL)
+    assert not verify_witness(f, replace(wit, X=NielsenWord(())), AL)
+    for tamper in tamperings:
+        assert not verify_witness(f, tamper(wit), AL)
+
+
+def test_a_speed_witness_at_x_e_rejects_a_move():
+    f = phi(w("aba"))
+    wit = exclude_fixpoint(f, AL)
+    assert wit.X.gens == ()
+    assert not verify_witness(f, replace(wit, X=NielsenWord((NielsenGen.P1,))), AL)

@@ -1,19 +1,20 @@
 """Randomized law checks; the seeded suites elsewhere pin concrete values.
 
-The word laws run at rank 2; the class laws of normal_form, speed and act
-run on small random Brooks sums at ranks 2-4.
+The word laws run at rank 2; the class laws of normal_form, speed, act and
+exclude_fixpoint run on small random Brooks sums at ranks 2-4.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmforge.action import act
+from qmforge.action import NielsenWord, act
 from qmforge.counting import BrooksSum, Mode, brooks_sum, count_subword, evaluate, norm, phi
+from qmforge.fixpoints import exclude_fixpoint, verify_witness
 from qmforge.freegroup import Alphabet, NielsenGen, b_power, free_reduce, inverse, multiply
 from qmforge.oracle import count_subword_scan
-from qmforge.relations import normal_form
+from qmforge.relations import RelationKind, extension_relation, normal_form
 from qmforge.speed import speed
 
 AL = Alphabet(2)
@@ -96,7 +97,8 @@ CLASS_LAWS = settings(max_examples=40, deadline=None)
 def test_turning_keys_changes_no_answer(case):
     alphabet, f, g = case
     assert normal_form(g, alphabet)[0] == normal_form(f, alphabet)[0]
-    assert act(NielsenGen.TINV, g, alphabet) == act(NielsenGen.TINV, f, alphabet)
+    for x in (NielsenWord(()), NielsenGen.P1, NielsenGen.TINV):
+        assert act(x, g, alphabet) == act(x, f, alphabet)
     want, got = speed(f, alphabet), speed(g, alphabet)
     assert (got.value, got.witness, got.rot_coefficient, got.residue) == (
         want.value,
@@ -123,3 +125,30 @@ def test_every_normal_form_trace_certifies(case):
     for h in (f, g):
         nf, trace = normal_form(h, alphabet)
         assert trace.certifies(h, nf, alphabet)
+
+
+@CLASS_LAWS
+@given(turned_sums())
+def test_every_witness_verifies(case):
+    alphabet, f, g = case
+    assume(not normal_form(f, alphabet)[0].is_zero())
+    for h in (f, g):
+        assert verify_witness(h, exclude_fixpoint(h, alphabet), alphabet)
+
+
+@CLASS_LAWS
+@given(turned_sums(), st.data())
+def test_speed_ignores_added_relations_and_t_tinv(case, data):
+    """Read as Brooks keys, an extension relation's weights give the bounded
+    l_w - r_{w^-1}, so adding it keeps the class; so does acting by T·Tinv."""
+    alphabet, f, g = case
+    value = speed(f, alphabet).value
+    bases = st.lists(st.sampled_from(alphabet.letters()), min_size=1, max_size=4)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(list(RelationKind)))
+        base = data.draw(bases.map(free_reduce).filter(bool))
+        rel = brooks_sum(dict(extension_relation(kind, base, alphabet).weight))
+        g = g + rel.scale(data.draw(st.integers(-3, 3)))
+    assert speed(g, alphabet).value == value
+    t_tinv = NielsenWord.from_gens([NielsenGen.T, NielsenGen.TINV])
+    assert speed(act(t_tinv, f, alphabet), alphabet).value == value

@@ -261,6 +261,32 @@ def test_speed_is_invariant_under_added_relations():
         assert speed(g, AL).value == base.value, (f.weight, word, kind)
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_zero_speed_and_zero_rot_leave_the_normal_form_as_residue(rank):
+    """exclude_fixpoint reads f's normal form off speed's residue once speed
+    and rot coefficient are both 0.  The corpus mixes edge columns (the keys
+    the column rewrite moves) with keys of speed 0, and random sums."""
+    alphabet = Alphabet(rank)
+    words = [v for v in ball(alphabet, 4) if v]
+    columns = [v for v in words if _is_edge_column(v)]
+    slow = [
+        v for v in words if len(v) <= 3 and (b_form(v).kind() is Kind.B_POWER or sp_word(v) == 0)
+    ]
+    rng = random.Random(f"residue/{rank}")
+    hits = 0
+    for i in range(600):
+        if i % 2:
+            keys = rng.sample(columns, rng.randint(1, 3)) + rng.sample(slow, rng.randint(0, 2))
+            f = brooks_sum({v: rng.choice([-2, -1, 1, 2]) for v in keys})
+        else:
+            f = random_brooks_sum(rng, alphabet, max_keys=4, max_len=4)
+        report = speed(f, alphabet)
+        if report.value == 0 and report.rot_coefficient == 0:
+            assert report.residue == normal_form(f, alphabet)[0], format_sum(f)
+            hits += 1
+    assert hits >= 30, hits
+
+
 def test_speed_error_on_zero_class():
     report = speed(zero(), AL)
     assert report.value == 0 and report.rot_coefficient == 0
