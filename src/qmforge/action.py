@@ -92,12 +92,6 @@ def _relabel(
     return out
 
 
-def act_perm_flip(gen: NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
-    """Apply P1, P2 or H: every key relabels and the sum re-canonicalizes."""
-    check_sum(f, alphabet)
-    return brooks_sum(_relabel(gen, f.weight, alphabet))
-
-
 # ---------------------------------------------------------------------------
 # The T^-1 support calculus
 #

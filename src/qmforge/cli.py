@@ -16,7 +16,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from functools import cache
+from typing import Any, Callable, NoReturn, Optional
 
 from .action import NielsenWord, act, n_representative_letters, n_representative_sum, wstar_n
 from .counting import (
@@ -37,15 +38,14 @@ from .freegroup import (
     Alphabet,
     NielsenGen,
     Word,
-    apply_nielsen,
     ball,
     ball_size,
     check_radius,
     parse_word,
     word_str,
 )
-from .oracle import brute_evaluate, sup_on_ball
-from .relations import eliminate_b_powers, normal_form
+from .oracle import PASS, exact_identity_check, sup_on_ball
+from .relations import RelationKind, eliminate_b_powers, extension_relation, normal_form
 from .speed import rot, speed
 
 
@@ -63,7 +63,7 @@ class _ExprParser:
         self.i = 0
         self.alphabet = alphabet
 
-    def fail(self, message: str, position: Optional[int] = None) -> None:
+    def fail(self, message: str, position: Optional[int] = None) -> NoReturn:
         raise ExpressionError(message, self.i if position is None else position)
 
     def _ws(self) -> None:
@@ -74,7 +74,11 @@ class _ExprParser:
         return self.text[self.i] if self.i < len(self.text) else ""
 
     def parse(self) -> BrooksSum:
-        terms: list[tuple[Fraction, str, Optional[Word]]] = []
+        # Raw weights, summed term by term; brooks_sum re-orients and
+        # merges the phi keys once.  A # key stays even at weight 0, so any
+        # # term switches the result to counting mode.
+        brooks: dict[Word, Fraction] = {}
+        counting: dict[Word, Fraction] = {}
         self._ws()
         if not self._peek():
             self.fail("empty expression")
@@ -83,7 +87,13 @@ class _ExprParser:
             sign, self.i = -1, self.i + 1
         while True:
             coef, kind, word = self._term()
-            terms.append((sign * coef, kind, word))
+            if kind == "rot":
+                for v, c in rot(self.alphabet).weight.items():
+                    brooks[v] = brooks.get(v, Fraction(0)) + sign * coef * c
+            else:
+                assert word is not None
+                into = brooks if kind == "phi" else counting
+                into[word] = into.get(word, Fraction(0)) + sign * coef
             self._ws()
             if self.i >= len(self.text):
                 break
@@ -91,20 +101,6 @@ class _ExprParser:
             if ch not in "+-":
                 self.fail(f"expected '+' or '-', found {ch!r}")
             sign, self.i = (1 if ch == "+" else -1), self.i + 1
-
-        # Raw weights, summed term by term; brooks_sum re-orients and
-        # merges the phi keys once.  A # key stays even at weight 0, so any
-        # # term switches the result to counting mode.
-        brooks: dict[Word, Fraction] = {}
-        counting: dict[Word, Fraction] = {}
-        for coef, kind, word in terms:
-            if kind == "rot":
-                for v, c in rot(self.alphabet).weight.items():
-                    brooks[v] = brooks.get(v, Fraction(0)) + coef * c
-            else:
-                assert word is not None
-                into = brooks if kind == "phi" else counting
-                into[word] = into.get(word, Fraction(0)) + coef
         f = brooks_sum(brooks)
         if counting:
             return counting_sum(counting) + as_counting(f)
@@ -130,7 +126,6 @@ class _ExprParser:
             self.i += 3
             return coef, "rot", None
         self.fail("expected 'phi', '#' or 'rot'")
-        raise AssertionError  # unreachable
 
     def _rational(self) -> Fraction:
         num = self._int()
@@ -218,24 +213,23 @@ def _module_of(exc: BaseException) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (exit code, text, json payload).
+# Commands.  Each takes the namespace, the alphabet and its positionals that
+# main reads (see _READERS), and returns (exit code, text, json payload).
+
+_Result = tuple[int, str, Any]
 
 
-def _cmd_eval(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
-    w = _parse_word_arg(ns.word, alphabet)
+def _cmd_eval(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum, w: Word) -> _Result:
     value = evaluate(f, w)
     return 0, str(value), {"value": str(value)}
 
 
-def _cmd_norm(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_norm(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     n = norm(f)
     return 0, str(n), {"norm": n}
 
 
-def _cmd_reduced(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_reduced(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     cert = certified_reduced_length(f, alphabet)
     text = f"{cert.status.value} {cert.value if cert.value is not None else '-'}"
     text += f" ({cert.certificate})"
@@ -256,8 +250,7 @@ def _cmd_reduced(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, 
 NREP_LETTER_BUDGET = 20_000_000
 
 
-def _cmd_nrep(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_nrep(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     g, _ = eliminate_b_powers(f, alphabet)
     letters = n_representative_letters(g, max(ns.n, 0), alphabet)  # n < 1 is nrep's to refuse
     if letters > NREP_LETTER_BUDGET:
@@ -269,14 +262,12 @@ def _cmd_nrep(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any
     return 0, format_sum(rep), {"n": ns.n, "representative": _sum_json(rep)}
 
 
-def _cmd_normal_form(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_normal_form(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     nf, trace = normal_form(f, alphabet)
     return 0, format_sum(nf), {"normal_form": _sum_json(nf), "steps": len(trace.steps)}
 
 
-def _cmd_speed(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_speed(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     rep = speed(f, alphabet)
     text = f"value {rep.value}"
     if rep.witness is not None:
@@ -290,18 +281,14 @@ def _cmd_speed(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, An
     return 0, text, payload
 
 
-def _cmd_act(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    try:
-        x = NielsenWord.parse(ns.xword)
-    except ValueError as exc:
-        raise ExpressionError(str(exc), 0) from exc
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_act(
+    ns: argparse.Namespace, alphabet: Alphabet, x: NielsenWord, f: BrooksSum
+) -> _Result:
     g = act(x, f, alphabet)
     return 0, format_sum(g), {"result": _sum_json(g)}
 
 
-def _cmd_exclude(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    f = parse_expression(ns.expr, alphabet)
+def _cmd_exclude(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     wit = exclude_fixpoint(f, alphabet)
     xs = _nielsen_str(wit.X)
     payload: dict[str, Any] = {"X": xs, "kind": wit.kind.value}
@@ -332,7 +319,7 @@ def _cmd_exclude(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, 
 BALL_RADIUS_LIMIT = 1000
 
 
-def _cmd_ball(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
+def _cmd_ball(ns: argparse.Namespace, alphabet: Alphabet) -> _Result:
     if ns.radius_arg > BALL_RADIUS_LIMIT:
         raise ValueError(
             f"ball radius {ns.radius_arg} is over the limit BALL_RADIUS_LIMIT = "
@@ -357,9 +344,10 @@ def _suite_counting(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     for probe in ("aba", "ab", "ba'"):
         v0 = parse_word(probe, alphabet)
         for f in (count_term(v0), phi(v0)):
-            for v in ball(alphabet, radius):
-                if evaluate(f, v) != brute_evaluate(f, v):
-                    return False, f"count mismatch for #{probe} at {word_str(v)}"
+            # The right-hand side is f itself: the oracle counts it on its own.
+            v = exact_identity_check(lambda u: evaluate(f, u), f, radius, alphabet)
+            if v != PASS:
+                return False, f"count mismatch for #{probe} at {word_str(v)}"
     return True, f"frozen values and scan agreement on ball {radius}"
 
 
@@ -379,37 +367,39 @@ def _suite_norm(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
 
 
 def _suite_relations(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
-    from .relations import RelationKind, extension_relation
-
     inner, outer = min(2, radius), radius
     for w in ball(alphabet, inner):
         if not w:
             continue
         l_w = extension_relation(RelationKind.LEFT, w, alphabet)
         r_w = extension_relation(RelationKind.RIGHT, w, alphabet)
-        for v in ball(alphabet, outer):
-            if evaluate(l_w, v) != int(v[: len(w)] == w):
-                return False, f"l_{word_str(w)} wrong at {word_str(v)}"
-            if evaluate(r_w, v) != int(len(v) >= len(w) and v[-len(w):] == w):
-                return False, f"r_{word_str(w)} wrong at {word_str(v)}"
+        values = lambda v: (evaluate(l_w, v), evaluate(r_w, v))
+        indicators = lambda v: (int(v[: len(w)] == w), int(len(v) >= len(w) and v[-len(w):] == w))
+        v = exact_identity_check(values, indicators, outer, alphabet)
+        if v != PASS:
+            side = "l" if values(v)[0] != indicators(v)[0] else "r"
+            return False, f"{side}_{word_str(w)} wrong at {word_str(v)}"
     return True, f"indicator identities on balls {inner}/{outer}"
 
 
 def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     probes = ("ba", "ab", "bab'", "b'a'b", "aba")
+    # T^n of a word, through its P1/H/Tinv expansion; cached, as every probe scans the same ball.
+    t_n = {n: cache(NielsenWord.from_gens([NielsenGen.T] * n).word) for n in (1, 2)}
     for text in probes:
         w = parse_word(text, alphabet)
         count_w = count_term(w)
         for n in (1, 2):
             table = counting_sum(wstar_n(w, n, alphabet))
-            for v in ball(alphabet, radius):
-                tv = v
-                for _ in range(n):
-                    tv = apply_nielsen(NielsenGen.T, tv, alphabet)
-                want = evaluate(count_w, tv)
-                got = evaluate(table, v)
-                if want != got:
-                    return False, f"transport of #{text} fails at {word_str(v)}, n={n}"
+            v = exact_identity_check(
+                lambda u: evaluate(count_w, u),
+                lambda v: evaluate(table, v),
+                radius,
+                alphabet,
+                transform=lambda v: t_n[n](v, alphabet),
+            )
+            if v != PASS:
+                return False, f"transport of #{text} fails at {word_str(v)}, n={n}"
     return True, f"W* transport exact for {len(probes)} words on ball {radius}"
 
 
@@ -440,8 +430,8 @@ _SUITES: dict[str, tuple[int, Callable[[Alphabet, int], tuple[bool, str]]]] = {
 VERIFY_WORD_BUDGET = 25_000
 
 
-def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, Any]:
-    names = list(_SUITES) if ns.suite in (None, "all") else [ns.suite]
+def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> _Result:
+    names = list(_SUITES) if ns.suite == "all" else [ns.suite]
     radii = {name: _SUITES[name][0] for name in names}
     cap = getattr(ns, "radius", None)
     if cap is not None:
@@ -474,11 +464,28 @@ def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> tuple[int, str, A
 # Argument plumbing
 
 
-def _parse_word_arg(text: str, alphabet: Alphabet) -> Word:
-    try:
-        return parse_word(text, alphabet)
-    except ValueError as exc:
-        raise ExpressionError(str(exc), 0) from exc
+# Each subcommand: its function, its help and the names of its positionals.
+# The positionals named in _READERS reach the function parsed, in that order.
+_COMMANDS: dict[str, tuple[Callable[..., _Result], str, tuple[str, ...]]] = {
+    "eval": (_cmd_eval, "evaluate an expression on a word", ("expr", "word")),
+    "norm": (_cmd_norm, "word-length norm of an expression", ("expr",)),
+    "reduced": (_cmd_reduced, "certified reduced length report", ("expr",)),
+    "nrep": (_cmd_nrep, "n-representative under T^-n", ("expr", "n")),
+    "normal-form": (_cmd_normal_form, "rewrite to normal form", ("expr",)),
+    "speed": (_cmd_speed, "speed of T^-1 on the class", ("expr",)),
+    "act": (_cmd_act, "apply a Nielsen word (e.g. 'P1*H*Tinv')", ("xword", "expr")),
+    "exclude-fixpoint": (_cmd_exclude, "a Nielsen word moving the class, with evidence", ("expr",)),
+    "verify": (_cmd_verify, "run the oracle verification suites", ("suite",)),
+    "ball": (_cmd_ball, "number of reduced words of length <= L", ("radius_arg",)),
+}
+
+# The positionals main parses, in this order: act reports a bad Nielsen word
+# before a bad expression, and eval a bad expression before a bad word.
+_READERS: dict[str, Callable[[str, Alphabet], Any]] = {
+    "xword": lambda text, alphabet: NielsenWord.parse(text),
+    "expr": parse_expression,
+    "word": parse_word,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,62 +503,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the space of Brooks counting quasimorphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], help=help_text)
-
-    p = cmd("eval", "evaluate an expression on a word")
-    p.add_argument("expr")
-    p.add_argument("word")
-    p = cmd("norm", "word-length norm of an expression")
-    p.add_argument("expr")
-    p = cmd("reduced", "certified reduced length report")
-    p.add_argument("expr")
-    p = cmd("nrep", "n-representative under T^-n")
-    p.add_argument("expr")
-    p.add_argument("n", type=int)
-    p = cmd("normal-form", "rewrite to normal form")
-    p.add_argument("expr")
-    p = cmd("speed", "speed of T^-1 on the class")
-    p.add_argument("expr")
-    p = cmd("act", "apply a Nielsen word (e.g. 'P1*H*Tinv')")
-    p.add_argument("xword")
-    p.add_argument("expr")
-    p = cmd("exclude-fixpoint", "a Nielsen word moving the class, with evidence")
-    p.add_argument("expr")
-    p = cmd("verify", "run the oracle verification suites")
-    p.add_argument("suite", nargs="?", choices=sorted(_SUITES) + ["all"], default="all")
-    p = cmd("ball", "number of reduced words of length <= L")
-    p.add_argument("radius_arg", metavar="L", type=int)
-
+    options: dict[str, dict[str, Any]] = {
+        "n": {"type": int},
+        "suite": {"nargs": "?", "choices": sorted(_SUITES) + ["all"], "default": "all"},
+        "radius_arg": {"metavar": "L", "type": int},
+    }
+    for name, (_, help_text, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in positionals:
+            p.add_argument(arg, **options.get(arg, {}))
     return parser
-
-
-_COMMANDS: dict[str, Callable[[argparse.Namespace, Alphabet], tuple[int, str, Any]]] = {
-    "eval": _cmd_eval,
-    "norm": _cmd_norm,
-    "reduced": _cmd_reduced,
-    "nrep": _cmd_nrep,
-    "normal-form": _cmd_normal_form,
-    "speed": _cmd_speed,
-    "act": _cmd_act,
-    "exclude-fixpoint": _cmd_exclude,
-    "verify": _cmd_verify,
-    "ball": _cmd_ball,
-}
 
 
 def _resolve_rank(ns: argparse.Namespace) -> int:
     rank = getattr(ns, "rank", None)
     if rank is None:
-        env = os.environ.get("QMFORGE_RANK")
-        if env is not None:
-            try:
-                rank = int(env)
-            except ValueError:
-                raise ExpressionError(f"QMFORGE_RANK is not an integer: {env!r}", 0)
-        else:
-            rank = 2
+        env = os.environ.get("QMFORGE_RANK", "2")
+        try:
+            rank = int(env)
+        except ValueError:
+            raise ExpressionError(f"QMFORGE_RANK is not an integer: {env!r}", 0)
     if rank < 2:
         raise ExpressionError(f"rank must be at least 2, got {rank}", 0)
     return rank
@@ -562,7 +533,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         alphabet = Alphabet(_resolve_rank(ns))
-        rc, text, payload = _COMMANDS[ns.command](ns, alphabet)
+        args = []
+        for name, read in _READERS.items():
+            if name in ns:
+                try:
+                    args.append(read(getattr(ns, name), alphabet))
+                except ValueError as exc:
+                    if name == "expr":  # positioned already, or a contract such as phi(e)
+                        raise
+                    raise ExpressionError(str(exc), 0) from exc
+        rc, text, payload = _COMMANDS[ns.command][0](ns, alphabet, *args)
     except ExpressionError as exc:
         print(f"qmforge: {exc}", file=sys.stderr)
         return 2

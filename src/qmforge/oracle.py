@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .counting import BrooksSum, Mode
-from .freegroup import Alphabet, Word, ball, ball_size, inverse
+from .freegroup import Alphabet, Word, ball, ball_size, inverse, multiply, power
 
 Evaluable = Union[BrooksSum, Callable[[Word], Fraction]]
 
@@ -176,8 +176,6 @@ def defect_and_homogenize(
     func = _as_callable(f)
     words = cached_ball(alphabet, radius)
     values = {w: func(w) for w in words}
-    from .freegroup import multiply, power
-
     defect = Fraction(0)
     for g in words:
         fg = values[g]

@@ -9,7 +9,6 @@ from qmforge.action import (
     SupportProduct,
     _middle_n,
     act,
-    act_perm_flip,
     left_factor_count,
     left_factors,
     n_representative,
@@ -58,7 +57,7 @@ def test_perm_flip_actions_are_pointwise_exact():
     for gen in (NielsenGen.P1, NielsenGen.H):
         for base in (w("ab"), w("aba"), w("ba'b"), w("b")):
             f = phi(base)
-            g = act_perm_flip(gen, f, AL)
+            g = act(gen, f, AL)
             for v in ball(AL, 4):
                 pre = apply_nielsen(gen, v, AL)  # P1, H are involutions
                 assert evaluate(g, pre) == evaluate(f, v), (gen, base, v)
@@ -66,9 +65,15 @@ def test_perm_flip_actions_are_pointwise_exact():
 
 def test_p2_cycles_letters_at_rank_three():
     f = phi(w("ca", AL3))
-    g = act_perm_flip(NielsenGen.P2, f, AL3)
+    g = act(NielsenGen.P2, f, AL3)
     # P2: a -> b -> c -> a, so the class of phi(ca) moves to phi(ab)
     assert g == phi(w("ab", AL3))
+
+
+def test_act_refuses_a_generator_its_relabelling_does_not_know():
+    """A NielsenWord built directly may hold T, which from_gens would expand."""
+    with pytest.raises(ValueError, match="is not a permutation/flip generator"):
+        act(NielsenWord((NielsenGen.T,)), phi(w("ab")), AL)
 
 
 def test_act_of_flip_on_rot():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -299,10 +300,11 @@ def test_verify_json_shape(capsys):
     ids=["verify-rank-26", "ball-10000", "ball-1000000000"],
 )
 def test_requests_over_budget_exit_3_before_any_work(capsys, monkeypatch, argv, refusal):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError(f"work started before the budget check: {args}")
 
-    for name in ("ball", "sup_on_ball") + (("ball_size",) if argv[0] == "ball" else ()):
+    scans = ("ball", "sup_on_ball", "exact_identity_check")
+    for name in scans + (("ball_size",) if argv[0] == "ball" else ()):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
@@ -364,3 +366,58 @@ def test_ball_over_its_radius_limit_exits_3_under_python_O():
         "qmforge: contract violation in cli: ball radius 10000 is over the limit "
         "BALL_RADIUS_LIMIT = 1000; give a radius L <= 1000"
     )
+
+
+# -- a failing verify suite ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "suite,line",
+    [
+        ("counting", "counting: FAIL - count mismatch for #aba at ab"),
+        ("relations", "relations: FAIL - l_a wrong at ab"),
+        ("transport", "transport: FAIL - transport of #ba fails at a, n=1"),
+    ],
+    ids=["counting", "relations", "transport"],
+)
+def test_a_wrong_evaluate_fails_its_verify_suite_with_exit_4(capsys, monkeypatch, suite, line):
+    """evaluate, off by one on ab, is caught at its first counterexample in ball order:
+    ab itself, or a, whose image under T is ab."""
+    real, ab = cli.evaluate, parse_word("ab", AL)
+    monkeypatch.setattr(cli, "evaluate", lambda f, v: real(f, v) + (v == ab))
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 4 and out == line + "\n"
+    code, out, _ = run(capsys, "verify", suite, "--format", "json")
+    assert code == 4 and json.loads(out) == {
+        "ok": False,
+        "suites": [{"name": suite, "ok": False, "detail": line.split(": FAIL - ")[1]}],
+    }
+
+
+# -- README -----------------------------------------------------------------------------
+
+
+def _readme_examples():
+    """(argv, output) for each `$ qmforge ...` line of README's CLI section."""
+    section = (Path(__file__).parent.parent / "README.md").read_text().split("## CLI", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```")[1::2]:
+        for chunk in block.split("$ qmforge ")[1:]:
+            command, _, output = chunk.partition("\n")
+            examples.append(pytest.param(shlex.split(command), output, id=command))
+    return examples
+
+
+def test_readme_has_the_cli_examples():
+    commands = [example.values[0][0] for example in _readme_examples()]
+    assert commands == [
+        "eval", "norm", "reduced", "normal-form", "speed", "act",
+        "exclude-fixpoint", "nrep", "ball", "verify",
+    ]
+
+
+@pytest.mark.parametrize("argv,output", _readme_examples())
+def test_readme_cli_examples_print_what_they_show(capsys, monkeypatch, argv, output):
+    monkeypatch.delenv("QMFORGE_RANK", raising=False)
+    assert run(capsys, *argv) == (0, output, "")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.action import NielsenWord, act, act_perm_flip, n_representative_sum
+from qmforge.action import NielsenWord, act, n_representative_sum
 from qmforge.counting import BrooksSum, Mode, counting_sum, phi
 from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import A, B, Alphabet, NielsenGen
@@ -44,7 +44,6 @@ ENTRIES = {
     "act-Tinv": lambda f, al: act(NielsenGen.TINV, f, al),
     "act-P1": lambda f, al: act(NielsenGen.P1, f, al),
     "act-empty-word": lambda f, al: act(NielsenWord(()), f, al),
-    "act_perm_flip": lambda f, al: act_perm_flip(NielsenGen.H, f, al),
     "n_representative_sum": lambda f, al: n_representative_sum(f, 2, al),
     "exclude_fixpoint": lambda f, al: exclude_fixpoint(f, al),
     "empirical_speed": lambda f, al: empirical_speed(f, NielsenGen.TINV, 2, al),
