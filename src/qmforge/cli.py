@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from typing import Any, Callable, NoReturn, Optional
 
 from .action import NielsenWord, act, n_representative_letters, n_representative_sum, wstar_n
@@ -38,6 +37,7 @@ from .freegroup import (
     Alphabet,
     NielsenGen,
     Word,
+    apply_nielsen,
     ball,
     ball_size,
     check_radius,
@@ -382,10 +382,14 @@ def _suite_relations(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     return True, f"indicator identities on balls {inner}/{outer}"
 
 
+def _t_power(v: Word, n: int, alphabet: Alphabet) -> Word:
+    for _ in range(n):
+        v = apply_nielsen(NielsenGen.T, v, alphabet)
+    return v
+
+
 def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     probes = ("ba", "ab", "bab'", "b'a'b", "aba")
-    # T^n of a word, through its P1/H/Tinv expansion; cached, as every probe scans the same ball.
-    t_n = {n: cache(NielsenWord.from_gens([NielsenGen.T] * n).word) for n in (1, 2)}
     for text in probes:
         w = parse_word(text, alphabet)
         count_w = count_term(w)
@@ -396,7 +400,7 @@ def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
                 lambda v: evaluate(table, v),
                 radius,
                 alphabet,
-                transform=lambda v: t_n[n](v, alphabet),
+                transform=lambda v: _t_power(v, n, alphabet),
             )
             if v != PASS:
                 return False, f"transport of #{text} fails at {word_str(v)}, n={n}"
@@ -479,12 +483,24 @@ _COMMANDS: dict[str, tuple[Callable[..., _Result], str, tuple[str, ...]]] = {
     "ball": (_cmd_ball, "number of reduced words of length <= L", ("radius_arg",)),
 }
 
+# A bad Nielsen word or word is a usage error (exit 2); parse_expression
+# positions its own, and its other ValueErrors are contracts (exit 3).
+def _usage_errors(read: Callable[[str, Alphabet], Any]) -> Callable[[str, Alphabet], Any]:
+    def reading(text: str, alphabet: Alphabet) -> Any:
+        try:
+            return read(text, alphabet)
+        except ValueError as exc:
+            raise ExpressionError(str(exc), 0) from exc
+
+    return reading
+
+
 # The positionals main parses, in this order: act reports a bad Nielsen word
 # before a bad expression, and eval a bad expression before a bad word.
 _READERS: dict[str, Callable[[str, Alphabet], Any]] = {
-    "xword": lambda text, alphabet: NielsenWord.parse(text),
+    "xword": _usage_errors(lambda text, alphabet: NielsenWord.parse(text)),
     "expr": parse_expression,
-    "word": parse_word,
+    "word": _usage_errors(parse_word),
 }
 
 
@@ -533,15 +549,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = parser.parse_args(argv)
     try:
         alphabet = Alphabet(_resolve_rank(ns))
-        args = []
-        for name, read in _READERS.items():
-            if name in ns:
-                try:
-                    args.append(read(getattr(ns, name), alphabet))
-                except ValueError as exc:
-                    if name == "expr":  # positioned already, or a contract such as phi(e)
-                        raise
-                    raise ExpressionError(str(exc), 0) from exc
+        args = [read(getattr(ns, name), alphabet) for name, read in _READERS.items() if name in ns]
         rc, text, payload = _COMMANDS[ns.command][0](ns, alphabet, *args)
     except ExpressionError as exc:
         print(f"qmforge: {exc}", file=sys.stderr)

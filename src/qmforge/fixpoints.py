@@ -7,9 +7,8 @@ homomorphism coefficient vector, or (only on the rank-2 rot line, where the
 speed evidence degenerates) a sign flip of the rot coefficient.  The case
 dispatch follows a fixed order, so results are deterministic; minimality of
 X is not attempted.  One function computes the evidence of every kind from
-f and act(X, f): exclude_fixpoint builds each witness with it, or reads the
-same evidence off the speed reports it already has, and verify_witness
-replays it and compares.
+f and act(X, f): exclude_fixpoint builds each witness with it, and
+verify_witness replays it and compares.
 """
 
 from __future__ import annotations
@@ -121,20 +120,13 @@ def exclude_fixpoint(
         raise ValueError("the zero class is fixed by everything")
 
     if rep.rot_coefficient != 0:
-        tries = []
         for gen in (NielsenGen.H, NielsenGen.P1):
-            tries.append(_witness(NielsenWord((gen,)), EvidenceKind.POSITIVE_SPEED, f, alphabet))
-            if _holds(tries[-1]):
-                return tries[-1]
+            wit = _witness(NielsenWord((gen,)), EvidenceKind.POSITIVE_SPEED, f, alphabet)
+            if _holds(wit):
+                return wit
         # Rank 2, the rot line itself: H negates the rot coefficient, which
-        # is all the moving that can be certified by speed alone.  The rot
-        # coefficients are read off f's report and the failed H try's.
-        h = tries[0].report
-        assert h is not None
-        before, after = rep.rot_coefficient, h.rot_coefficient
-        wit = ExclusionWitness(
-            tries[0].X, EvidenceKind.ROT_SIGN_FLIP, rot_before=before, rot_after=after
-        )
+        # is all the moving that can be certified by speed alone.
+        wit = _witness(NielsenWord((NielsenGen.H,)), EvidenceKind.ROT_SIGN_FLIP, f, alphabet)
         return _checked(wit, "H failed to flip the rot coefficient")
 
     skeletons = {v: skeleton(v) for v in rep.residue.support()}

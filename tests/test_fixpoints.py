@@ -83,26 +83,6 @@ def test_rank_two_rot_line_needs_the_sign_flip():
     assert verify_witness(rot(AL), wit, AL)
 
 
-def test_the_rot_line_takes_each_speed_once(monkeypatch):
-    """f, act(H, f) and act(P1, f): the sign-flip evidence reuses the H try's report."""
-    import importlib
-
-    fixpoints = importlib.import_module("qmforge.fixpoints")
-    calls = []
-    original = fixpoints.speed
-
-    def counted(f, alphabet):
-        calls.append(format_sum(f))
-        return original(f, alphabet)
-
-    monkeypatch.setattr(fixpoints, "speed", counted)
-    f = rot(AL)
-    wit = exclude_fixpoint(f, AL)
-    assert wit.kind is EvidenceKind.ROT_SIGN_FLIP
-    moved = [format_sum(act(gen, f, AL)) for gen in (NielsenGen.H, NielsenGen.P1)]
-    assert calls == [format_sum(f)] + moved
-
-
 def test_rank_three_rot_gains_speed_instead():
     wit = exclude_fixpoint(rot(AL3), AL3)
     assert wit.X.gens == (NielsenGen.H,)
