@@ -42,6 +42,10 @@ class NielsenWord:
 
     gens: tuple[NielsenGen, ...]
 
+    def __post_init__(self) -> None:
+        if NielsenGen.T in self.gens:
+            raise ValueError("NielsenWord holds T unexpanded; build it with from_gens or parse")
+
     @staticmethod
     def from_gens(gens: Iterable[NielsenGen]) -> "NielsenWord":
         out: list[NielsenGen] = []
@@ -83,8 +87,6 @@ def _relabel(
     gen: NielsenGen, weight: dict[Word, Fraction], alphabet: Alphabet
 ) -> dict[Word, Fraction]:
     """P1, P2 or H on a raw weight: every key relabels, colliding keys merge."""
-    if gen not in (NielsenGen.P1, NielsenGen.P2, NielsenGen.H):
-        raise ValueError(f"{gen} is not a permutation/flip generator")
     out: dict[Word, Fraction] = {}
     for v, c in weight.items():
         u = apply_nielsen(gen, v, alphabet)
@@ -279,11 +281,14 @@ def n_representative_letters(f: BrooksSum, n: int, alphabet: Alphabet) -> int:
 
 def _act_tinv(weight: dict[Word, Fraction], alphabet: Alphabet) -> dict[Word, Fraction]:
     """T^-1 on a raw weight: unwind the b-power keys to b, then expand each
-    key by its one-step support.  Neither step needs canonical keys."""
+    key by its one-step support.  The weight's keys may take either
+    orientation; the unwound sum comes back from the rewriter canonical, and
+    its expansion is raw again."""
     rewriter = _Rewriter(alphabet, weight)
     _unwind_b_powers(rewriter)
+    unwound, _ = rewriter.result()
     entries: dict[Word, Fraction] = {}
-    for v, c in rewriter.weight.items():
+    for v, c in unwound.weight.items():
         # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
         images = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
         for u, cu in images.items():

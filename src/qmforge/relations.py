@@ -21,9 +21,11 @@ each relation pair it consumes.  The keys of one column (one core, many
 exponents) share one walk, so phi(b^m) costs O(m) steps, not O(m^2).
 A rewrite is a sequence of passes over one accumulator, a _Rewriter seeded
 with the input's weight: each pass takes the keys it rewrites out of the
-accumulator and walks them, adding targets and debris back in place, and
-the result is canonicalized (keys oriented, merged, zeros dropped) once,
-at the end.
+accumulator and walks them, adding targets and debris back in place.  The
+accumulator holds integer numerators over one denominator, the lcm of the
+seed weights' denominators (walks only add and negate coefficients), and
+every key in it is canonical from the moment it enters, so the result only
+drops zeros and turns numerators back into fractions.
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -37,7 +39,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .counting import BrooksSum, Mode, brooks_sum, check_sum, counting_sum
+from .counting import BrooksSum, Mode, _check_key, check_sum, counting_sum
 from .freegroup import (
     B,
     Alphabet,
@@ -160,52 +162,83 @@ class _Rewriter:
     Rewriting one exponent step of a Brooks key consumes the relation pair
     r_base - l_{base^-1} (or the mirror) with a single coefficient: trace
     entries (lead, base, -c) and (mirror, base^-1, +c), which keep the
-    certificate exact on both the word and its inverse.  The weight is raw
-    until result(): it may hold a key next to its inverse, and zero entries.
+    certificate exact on both the word and its inverse.  The weight maps
+    canonical keys to integer numerators over den, the lcm of the seed
+    weights' denominators; coefficients passed to and returned by take,
+    emit and sweep are numerators too.  Until result() it may hold zeros.
     """
 
     def __init__(self, alphabet: Alphabet, weight: dict[Word, Fraction]) -> None:
         self.s_b = alphabet.s_b()
-        self.weight = dict(weight)
+        self.den = _denominator(weight.values())
+        self.weight: dict[Word, int] = {}
         self.steps: list[TraceStep] = []
+        for v, c in weight.items():
+            self.emit(v, c.numerator * (self.den // c.denominator))
 
-    def take(self, pick: Callable[[Word], bool]) -> dict[Word, Fraction]:
+    def take(self, pick: Callable[[Word], bool]) -> dict[Word, int]:
         """Remove the keys pick selects; return those of nonzero weight."""
         picked = [v for v in self.weight if pick(v)]
         taken = {v: self.weight.pop(v) for v in picked}
-        return {v: c for v, c in taken.items() if c}
+        return {v: n for v, n in taken.items() if n}
 
-    def emit(self, w: Word, c: Fraction) -> None:
-        if c == 0:
+    def emit(self, w: Word, n: int) -> None:
+        if n == 0:
             return
         if not w:
             raise ValueError("rewriting emitted the identity")
-        prev = self.weight.get(w)
-        self.weight[w] = c if prev is None else prev + c
+        if not is_canonical(w):
+            w, n = inverse(w), -n
+        self.weight[w] = self.weight.get(w, 0) + n
 
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
-        return brooks_sum(self.weight), RewriteTrace(tuple(self.steps))
+        """The weight as a Brooks sum, zeros dropped, and the trace."""
+        fractions: dict[int, Fraction] = {}
+        out: dict[Word, Fraction] = {}
+        for v, n in self.weight.items():
+            if n:
+                _check_key(v)
+                out[v] = fractions.get(n) or fractions.setdefault(n, Fraction(n, self.den))
+        return BrooksSum(out, Mode.BROOKS), RewriteTrace(tuple(self.steps))
 
     # -- exponent walks at one end of the key ---------------------------------
 
-    def _run(self, side: RelationKind, core: Word, exponents: range, d: Fraction) -> None:
+    def _run(self, side: RelationKind, core: Word, exponents: range, d: int) -> None:
         """The steps at the bases core·b^j (RIGHT) or b^j·core (LEFT), j in
-        exponents in order: each consumes the pair (side, base, -d),
+        exponents in order, j != 0: each consumes the pair (side, base, -d),
         (mirror, base^-1, d) and leaves the debris -d·phi(base·s) (RIGHT) or
-        -d·phi(s·base) (LEFT), s in S_b."""
-        neg_d, mirror, inv_core = -d, _MIRROR[side], inverse(core)
+        -d·phi(s·base) (LEFT), s in S_b.
+
+        A debris key's end letters are s and the base's outer end, which is
+        the same for every j, so its orientation is settled once per s; only
+        when the two letters are mutually inverse does it depend on j.
+        """
+        if not exponents:
+            return
+        mirror, inv_core = _MIRROR[side], inverse(core)
         right = side is RelationKind.RIGHT
         weight, steps = self.weight, self.steps
+        d_step, neg_d_step = Fraction(d, self.den), Fraction(-d, self.den)
+        outer = (core or b_power(exponents[0]))[0 if right else -1]
+        plan: list[tuple[int, Optional[bool]]] = []
+        for s in self.s_b:
+            first, last = (outer, s) if right else (s, outer)
+            plan.append((s, None if first == -last else is_canonical((first, last))))
         for j in exponents:
             base = _attach(side, core, b_power(j))
             inv_base = _attach(mirror, inv_core, b_power(-j))
-            steps += (TraceStep(side, base, neg_d), TraceStep(mirror, inv_base, d))
-            for s in self.s_b:
-                w = base + (s,) if right else (s,) + base
-                prev = weight.get(w)
-                weight[w] = neg_d if prev is None else prev + neg_d
+            steps += (TraceStep(side, base, neg_d_step), TraceStep(mirror, inv_base, d_step))
+            for s, canonical in plan:
+                if canonical is None:
+                    canonical = is_canonical(_attach(side, base, (s,)))
+                if canonical:
+                    w = base + (s,) if right else (s,) + base
+                    weight[w] = weight.get(w, 0) - d
+                else:
+                    w = (-s,) + inv_base if right else inv_base + (-s,)
+                    weight[w] = weight.get(w, 0) + d
 
-    def _walk(self, side: RelationKind, core: Word, m: int, stop: int, c: Fraction) -> Fraction:
+    def _walk(self, side: RelationKind, core: Word, m: int, stop: int, c: int) -> int:
         """Walk c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT) to the
         exponent stop; return the carrier there.
 
@@ -218,7 +251,11 @@ class _Rewriter:
             self._run(side, core, range(m - sgn, 0, -sgn), c)
             # RIGHT: phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
             end = core[-1] if side is RelationKind.RIGHT else core[0]
-            self.steps += (TraceStep(side, core, -c), TraceStep(_MIRROR[side], inverse(core), c))
+            c_step = Fraction(c, self.den)
+            self.steps += (
+                TraceStep(side, core, -c_step),
+                TraceStep(_MIRROR[side], inverse(core), c_step),
+            )
             self.emit(core, c)
             for s in self.s_b:
                 if s != -end:
@@ -231,8 +268,8 @@ class _Rewriter:
         return c
 
     def sweep(
-        self, side: RelationKind, core: Word, members: Iterable[tuple[int, Fraction]], m_to: int
-    ) -> Fraction:
+        self, side: RelationKind, core: Word, members: Iterable[tuple[int, int]], m_to: int
+    ) -> int:
         """Walk the keys c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT),
         one per member (m, c), to exponent m_to; return the target's
         coefficient, which is not emitted.
@@ -245,7 +282,7 @@ class _Rewriter:
         """
         if m_to == 0:
             raise ValueError("exponents must be nonzero")
-        at: dict[int, Fraction] = {}
+        at: dict[int, int] = {}
         for m, c in members:
             if m == 0:
                 raise ValueError("exponents must be nonzero")
@@ -285,7 +322,7 @@ def retarget_power(
     rewriter = _Rewriter(alphabet, {})
     core = _attach(side, b_power(m_fixed), x)
     target = _attach(side, core, b_power(m_to))
-    rewriter.emit(target, rewriter.sweep(side, core, [(m_from, Fraction(1))], m_to))
+    rewriter.emit(target, rewriter.sweep(side, core, [(m_from, 1)], m_to))
     return rewriter.result()
 
 
@@ -306,7 +343,7 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
 def _unwind_b_powers(rewriter: _Rewriter) -> None:
     """The pass of eliminate_b_powers: take the b-power keys, walk them to b."""
     powers = rewriter.take(lambda v: tau(v) is None)
-    members = [(len(v), c if v[0] == B else -c) for v, c in powers.items()]
+    members = [(len(v), n if v[0] == B else -n) for v, n in powers.items()]
     rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
 
 
@@ -324,8 +361,8 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     b-truncated); (3) merge b-left/right-b keys presenting the same column —
     a right-b key y b^q is the column key b^{-q} y^{-1} in disguise (debris:
     b-truncated only).  Each pass takes its keys out of the accumulator and
-    adds its targets and debris back; the accumulator is canonicalized once,
-    after the last pass, so the b-truncated inverse condition is vacuous.
+    adds its targets and debris back; every key enters the accumulator in
+    canonical orientation, so the b-truncated inverse condition is vacuous.
     Surviving targets are chosen by smallest boundary exponents, then
     (length, lex); the rewriting lemma does not dictate a choice, so
     determinism is fixed here.
@@ -345,14 +382,14 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
 
 def _merge_boxes(rewriter: _Rewriter) -> None:
     """Collapse each b-and-b skeleton class (up to inversion) to one key."""
-    families: dict[Word, list[tuple[int, int, Fraction]]] = {}
-    for v, c in rewriter.take(lambda v: kind_of(v) is Kind.B_AND_B).items():
+    families: dict[Word, list[tuple[int, int, int]]] = {}
+    for v, n in rewriter.take(lambda v: kind_of(v) is Kind.B_AND_B).items():
         t = tau(v)
         assert t is not None
         if not is_canonical(t):
-            t, v, c = inverse(t), inverse(v), -c
+            t, v, n = inverse(t), inverse(v), -n
         form = b_form(v)
-        families.setdefault(t, []).append((form.m0, form.mk, c))
+        families.setdefault(t, []).append((form.m0, form.mk, n))
     for skel, members in sorted(families.items(), key=lambda kv: word_sort_key(kv[0])):
         p_t, q_t, _ = min(
             members,
@@ -363,7 +400,7 @@ def _merge_boxes(rewriter: _Rewriter) -> None:
         )
         # The left walks of one right exponent q share the core skel b^q;
         # the right walks then all share the core b^p_t skel.
-        by_q: dict[int, list[tuple[int, Fraction]]] = {}
+        by_q: dict[int, list[tuple[int, int]]] = {}
         for p, q, c in members:
             by_q.setdefault(q, []).append((p, c))
         rights = [
@@ -378,28 +415,24 @@ def _is_column(v: Word) -> bool:
     return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B)
 
 
-def _take_columns(
-    rewriter: _Rewriter, pick: Callable[[Word], bool]
-) -> dict[Word, dict[int, Fraction]]:
+def _take_columns(rewriter: _Rewriter, pick: Callable[[Word], bool]) -> dict[Word, dict[int, int]]:
     """Take the b-left and right-b keys that pick selects out of the
-    accumulator, as columns {x: {m: weight of phi(b^m x)}}.
+    accumulator, as columns {x: {m: numerator of phi(b^m x)}}.
 
     A b-left key b^m x sits in column x; a right-b key y b^q equals
-    -phi(b^{-q} y^-1), i.e. column y^-1.  A key and its inverse may both be
-    in the accumulator, so weights merge per exponent; exponents whose
-    merged weight is zero, and columns left empty, are dropped.
+    -phi(b^{-q} y^-1), i.e. column y^-1.  The accumulator holds one
+    orientation of each key, so every exponent of a column comes from
+    exactly one key.
     """
-    columns: dict[Word, dict[int, Fraction]] = {}
-    for v, c in rewriter.take(pick).items():
+    columns: dict[Word, dict[int, int]] = {}
+    for v, n in rewriter.take(pick).items():
         if kind_of(v) is Kind.RIGHT_B:
-            v, c = inverse(v), -c
+            v, n = inverse(v), -n
         t = tau(v)
         assert t is not None
         m = len(v) - len(t) if v[0] == B else len(t) - len(v)  # v = b^m t
-        column = columns.setdefault(t, {})
-        column[m] = column.get(m, 0) + c
-    merged = {t: {m: c for m, c in column.items() if c} for t, column in columns.items()}
-    return {t: column for t, column in merged.items() if column}
+        columns.setdefault(t, {})[m] = n
+    return columns
 
 
 def _merge_columns(rewriter: _Rewriter) -> None:

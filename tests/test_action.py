@@ -71,8 +71,8 @@ def test_p2_cycles_letters_at_rank_three():
 
 
 def test_act_refuses_a_generator_its_relabelling_does_not_know():
-    """A NielsenWord built directly may hold T, which from_gens would expand."""
-    with pytest.raises(ValueError, match="is not a permutation/flip generator"):
+    """A NielsenWord built directly cannot hold T, which from_gens would expand."""
+    with pytest.raises(ValueError, match="T unexpanded; build it with from_gens or parse"):
         act(NielsenWord((NielsenGen.T,)), phi(w("ab")), AL)
 
 

@@ -1,10 +1,13 @@
 """Randomized law checks; the seeded suites elsewhere pin concrete values.
 
 The word laws run at rank 2; the class laws of normal_form, speed, act and
-exclude_fixpoint run on small random Brooks sums at ranks 2-4.
+exclude_fixpoint run on small random Brooks sums at ranks 2-4, with integer
+coefficients or, for the scaling law, rational ones.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from qmforge.counting import BrooksSum, Mode, brooks_sum, count_subword, evaluat
 from qmforge.fixpoints import exclude_fixpoint, verify_witness
 from qmforge.freegroup import Alphabet, NielsenGen, b_power, free_reduce, inverse, multiply
 from qmforge.oracle import count_subword_scan
-from qmforge.relations import RelationKind, extension_relation, normal_form
+from qmforge.relations import RelationKind, TraceStep, extension_relation, normal_form
 from qmforge.speed import speed
 
 AL = Alphabet(2)
@@ -69,18 +72,23 @@ def test_support_norm_is_ultrametric(u, v):
 # -- class laws at ranks 2-4 ------------------------------------------------------
 
 
-@st.composite
-def turned_sums(draw):
-    """(alphabet, f, g): f a canonical Brooks sum of at most 5 keys of length
-    at most 5, sometimes with a b^2..b^6 key; g the same sum hand-built with
-    a random subset of its keys turned (v -> v^-1, c -> -c)."""
-    alphabet = Alphabet(draw(st.sampled_from([2, 3, 4])))
+def _sum_keys(draw, alphabet):
+    """At most 5 keys of length at most 5, sometimes with a b^2..b^6 key."""
     letters = st.lists(st.sampled_from(alphabet.letters()), min_size=1, max_size=5)
     keys = draw(st.lists(letters.map(free_reduce).filter(bool), min_size=1, max_size=4))
     if draw(st.booleans()):
         keys.append(b_power(draw(st.integers(2, 6))))
+    return keys
+
+
+@st.composite
+def turned_sums(draw):
+    """(alphabet, f, g): f a canonical Brooks sum on _sum_keys; g the same
+    sum hand-built with a random subset of its keys turned (v -> v^-1,
+    c -> -c)."""
+    alphabet = Alphabet(draw(st.sampled_from([2, 3, 4])))
     coefficient = st.integers(-3, 3).filter(bool)
-    f = brooks_sum({v: draw(coefficient) for v in keys})
+    f = brooks_sum({v: draw(coefficient) for v in _sum_keys(draw, alphabet)})
     turned = draw(st.lists(st.booleans(), min_size=len(f.weight), max_size=len(f.weight)))
     g = BrooksSum(
         {(inverse(v) if t else v): (-c if t else c) for (v, c), t in zip(f.weight.items(), turned)},
@@ -152,3 +160,38 @@ def test_speed_ignores_added_relations_and_t_tinv(case, data):
     assert speed(g, alphabet).value == value
     t_tinv = NielsenWord.from_gens([NielsenGen.T, NielsenGen.TINV])
     assert speed(act(t_tinv, f, alphabet), alphabet).value == value
+
+
+def _rationals(numerator):
+    return st.builds(Fraction, numerator.filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def scaled_sums(draw):
+    """(alphabet, f, q): f a Brooks sum on _sum_keys whose coefficients have
+    denominators 1-7, and a rational q != 0."""
+    alphabet = Alphabet(draw(st.sampled_from([2, 3, 4])))
+    coefficient = _rationals(st.integers(-3, 3))
+    f = brooks_sum({v: draw(coefficient) for v in _sum_keys(draw, alphabet)})
+    return alphabet, f, draw(_rationals(st.integers(-7, 7)))
+
+
+@CLASS_LAWS
+@given(scaled_sums())
+def test_rewriting_commutes_with_rational_scaling(case):
+    """normal_form, its trace, speed and act(TINV) are linear in f: scaling f
+    by q scales every coefficient they return by q."""
+    alphabet, f, q = case
+    qf = f.scale(q)
+    nf, trace = normal_form(f, alphabet)
+    nf_q, trace_q = normal_form(qf, alphabet)
+    assert nf_q == nf.scale(q)
+    assert trace_q.steps == tuple(
+        TraceStep(step.kind, step.base, step.coefficient * q) for step in trace.steps
+    )
+    assert trace_q.certifies(qf, nf_q, alphabet)
+    report, report_q = speed(f, alphabet), speed(qf, alphabet)
+    assert report_q.value == report.value
+    assert report_q.rot_coefficient == report.rot_coefficient * q
+    assert report_q.residue == report.residue.scale(q)
+    assert act(NielsenGen.TINV, qf, alphabet) == act(NielsenGen.TINV, f, alphabet).scale(q)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -160,6 +161,14 @@ def _sweep_cases(rng):
         yield alphabet, RelationKind.RIGHT, (), [(m, Fraction(1)) for m in (9, 4, 4, 2, 1)], 1
 
 
+def _rewriter_for(alphabet, members):
+    """An empty rewriter over the members' common denominator, and the
+    members' coefficients as its integer numerators."""
+    rewriter = _Rewriter(alphabet, {})
+    rewriter.den = lcm(*(c.denominator for _, c in members))
+    return rewriter, [(m, c.numerator * (rewriter.den // c.denominator)) for m, c in members]
+
+
 def test_column_sweep_equals_the_sum_of_one_member_walks():
     for alphabet, side, core, members, m_t in _sweep_cases(random.Random(41)):
         case = (alphabet.rank, side, core, members, m_t)
@@ -167,11 +176,11 @@ def test_column_sweep_equals_the_sum_of_one_member_walks():
         for m, c in members:
             before = before + phi(_attach(side, core, b_power(m))).scale(c)
         target = _attach(side, core, b_power(m_t))
-        swept = _Rewriter(alphabet, {})
-        swept.emit(target, swept.sweep(side, core, members, m_t))
-        each = _Rewriter(alphabet, {})
-        for m, c in members:
-            each.emit(target, each.sweep(side, core, [(m, c)], m_t))
+        swept, numerators = _rewriter_for(alphabet, members)
+        swept.emit(target, swept.sweep(side, core, numerators, m_t))
+        each, _ = _rewriter_for(alphabet, members)
+        for m, n in numerators:
+            each.emit(target, each.sweep(side, core, [(m, n)], m_t))
         (after, trace), (after_each, trace_each) = swept.result(), each.result()
         assert after == after_each, case
         assert trace.combination(alphabet) == trace_each.combination(alphabet), case
@@ -241,17 +250,18 @@ def _one_step_sweep(alphabet, side, core, members, m_to):
 
 
 def test_run_walk_matches_the_one_step_walk():
-    """The same target coefficient, weight (in insertion order) and trace,
-    step by step, as the one-step walk, over strip runs, grow runs and zero
-    crossings on both sides at ranks 2-4."""
+    """The same target coefficient, the same weight once canonicalized, and
+    the same trace, step by step, as the one-step walk, over strip runs,
+    grow runs and zero crossings on both sides at ranks 2-4."""
     covered = set()
     for alphabet, side, core, members, m_t in _sweep_cases(random.Random(47)):
         case = (alphabet.rank, side, core, members, m_t)
         total, weight, steps, shapes = _one_step_sweep(alphabet, side, core, members, m_t)
-        rewriter = _Rewriter(alphabet, {})
-        assert rewriter.sweep(side, core, members, m_t) == total, case
-        assert list(rewriter.weight.items()) == list(weight.items()), case
-        assert rewriter.steps == steps, case
+        rewriter, numerators = _rewriter_for(alphabet, members)
+        assert Fraction(rewriter.sweep(side, core, numerators, m_t), rewriter.den) == total, case
+        after, trace = rewriter.result()
+        assert after == brooks_sum(weight), case
+        assert trace.steps == tuple(steps), case
         covered |= {(alphabet.rank, side, shape) for shape in shapes}
     for rank in (2, 3, 4):
         for side in RelationKind:
