@@ -10,6 +10,9 @@ tables here carry signs; the product form
 
 is exact as a function identity, not merely up to bounded error, and the
 differential tests drive every row against a brute-force counter.
+
+act runs one pass per generator over one accumulator (a relations._Rewriter)
+seeded with f; brooks_sum builds support products and n-representatives.
 """
 
 from __future__ import annotations
@@ -83,17 +86,6 @@ class NielsenWord:
         return w
 
 
-def _relabel(
-    gen: NielsenGen, weight: dict[Word, Fraction], alphabet: Alphabet
-) -> dict[Word, Fraction]:
-    """P1, P2 or H on a raw weight: every key relabels, colliding keys merge."""
-    out: dict[Word, Fraction] = {}
-    for v, c in weight.items():
-        u = apply_nielsen(gen, v, alphabet)
-        out[u] = out.get(u, Fraction(0)) + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The T^-1 support calculus
 #
@@ -116,14 +108,14 @@ class SupportProduct:
     middle: Word
     right: Rows
 
-    def weight(self) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def weight(self) -> dict[Word, int]:
+        out: dict[Word, int] = {}
         for l, cl in self.left:
             for r, cr in self.right:
                 u = multiply(l, self.middle, r)
                 if len(u) != len(l) + len(self.middle) + len(r):
                     raise ValueError(f"support of {word_str(self.base)} cancels to {word_str(u)}")
-                out[u] = out.get(u, Fraction(0)) + cl * cr
+                out[u] = out.get(u, 0) + cl * cr
         return out
 
     def as_sum(self) -> BrooksSum:
@@ -279,38 +271,27 @@ def n_representative_letters(f: BrooksSum, n: int, alphabet: Alphabet) -> int:
 # Applying Nielsen words
 
 
-def _act_tinv(weight: dict[Word, Fraction], alphabet: Alphabet) -> dict[Word, Fraction]:
-    """T^-1 on a raw weight: unwind the b-power keys to b, then expand each
-    key by its one-step support.  The weight's keys may take either
-    orientation; the unwound sum comes back from the rewriter canonical, and
-    its expansion is raw again."""
-    rewriter = _Rewriter(alphabet, weight)
-    _unwind_b_powers(rewriter)
-    unwound, _ = rewriter.result()
-    entries: dict[Word, Fraction] = {}
-    for v, c in unwound.weight.items():
-        # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
-        images = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
-        for u, cu in images.items():
-            entries[u] = entries.get(u, Fraction(0)) + c * cu
-    return entries
-
-
 def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> BrooksSum:
     """Representative of x[f] = [f . x^-1], generator by generator.
 
     Generators apply in sequence order, matching NielsenWord.word: the word
-    [g1, g2] acts as g2[g1[f]].  f is checked once; the steps pass raw
-    weights along, and brooks_sum canonicalizes the last one, so every
-    word, the empty one included, returns a canonical sum.
+    [g1, g2] acts as g2[g1[f]].  f is checked once and seeds one accumulator;
+    each generator is a pass that takes every key and emits its image times
+    its numerator, T^-1 after unwinding the b-power keys to b.
     """
     check_sum(f, alphabet)
     if isinstance(x, NielsenGen):
         x = NielsenWord.from_gens([x])
-    weight = f.weight
+    acc = _Rewriter(alphabet, f.weight)
     for gen in x.gens:
         if gen is NielsenGen.TINV:
-            weight = _act_tinv(weight, alphabet)
-        else:
-            weight = _relabel(gen, weight, alphabet)
-    return brooks_sum(weight)
+            _unwind_b_powers(acc)
+        for v, n in acc.take(lambda v: True).items():
+            if gen is not NielsenGen.TINV:
+                acc.emit(apply_nielsen(gen, v, alphabet), n)
+                continue
+            # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
+            image = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
+            for u, cu in image.items():
+                acc.emit(u, n * cu)
+    return acc.as_sum()

@@ -531,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_rank(ns: argparse.Namespace) -> int:
+def _resolve_alphabet(ns: argparse.Namespace) -> Alphabet:
     rank = getattr(ns, "rank", None)
     if rank is None:
         env = os.environ.get("QMFORGE_RANK", "2")
@@ -539,16 +539,17 @@ def _resolve_rank(ns: argparse.Namespace) -> int:
             rank = int(env)
         except ValueError:
             raise ExpressionError(f"QMFORGE_RANK is not an integer: {env!r}", 0)
-    if rank < 2:
-        raise ExpressionError(f"rank must be at least 2, got {rank}", 0)
-    return rank
+    try:
+        return Alphabet(rank)
+    except ValueError as exc:
+        raise ExpressionError(str(exc), 0) from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        alphabet = Alphabet(_resolve_rank(ns))
+        alphabet = _resolve_alphabet(ns)
         args = [read(getattr(ns, name), alphabet) for name, read in _READERS.items() if name in ns]
         rc, text, payload = _COMMANDS[ns.command][0](ns, alphabet, *args)
     except ExpressionError as exc:

@@ -12,6 +12,10 @@ no identity key) together with a mode:
                -phi(v), brooks_sum keys each pair {v, v^-1} by the (length,
                lex)-smaller word; the entries, guarded by check_sum, take either.
 
+Brooks sums are built in an Accumulator (canonical keys, integer numerators
+over one denominator): brooks_sum seeds one with its entries, and relations'
+rewrites and action's act run passes over one; +, - and scale combine sums.
+
 Everything is exact; no floats anywhere.
 """
 
@@ -20,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Callable, Iterable, Optional
 
 from .freegroup import (
     Alphabet,
@@ -117,22 +122,59 @@ def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     return BrooksSum({v: c for v, c in weight.items() if c != 0}, Mode.COUNTING)
 
 
+def _denominator(coefficients: Iterable[Rational | int]) -> int:
+    """The lcm of the denominators: scaled by it, every coefficient is an integer."""
+    return lcm(*{c.denominator for c in coefficients})
+
+
+class Accumulator:
+    """A Brooks weight under construction: canonical keys mapped to integer
+    numerators over den, the lcm of the seed weights' denominators.  take and
+    emit pass numerators too; until as_sum() the weight may hold zeros."""
+
+    def __init__(self, weight: dict[Word, Rational | int]) -> None:
+        self.den = _denominator(weight.values())
+        self.weight: dict[Word, int] = {}
+        for v, c in weight.items():
+            self.emit(v, c.numerator * (self.den // c.denominator))
+
+    def take(self, pick: Callable[[Word], bool]) -> dict[Word, int]:
+        """Remove the keys pick selects; return those of nonzero weight."""
+        picked = [v for v in self.weight if pick(v)]
+        taken = {v: self.weight.pop(v) for v in picked}
+        return {v: n for v, n in taken.items() if n}
+
+    def emit(self, w: Word, n: int) -> None:
+        """Add n/den * phi(w), turning w to its canonical orientation."""
+        if n == 0:
+            return
+        if not w:
+            raise ValueError("rewriting emitted the identity")
+        if not is_canonical(w):
+            w, n = inverse(w), -n
+        self.weight[w] = self.weight.get(w, 0) + n
+
+    def as_sum(self) -> BrooksSum:
+        """The weight as a Brooks sum: zeros dropped, every key checked."""
+        fractions: dict[int, Fraction] = {}
+        out: dict[Word, Fraction] = {}
+        for v, n in self.weight.items():
+            if n:
+                _check_key(v)
+                out[v] = fractions.get(n) or fractions.setdefault(n, Fraction(n, self.den))
+        return BrooksSum(out, Mode.BROOKS)
+
+
 def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     """Brooks sum from a raw weight, re-orienting keys to canonical form.
 
     Of each pair {v, v^-1} the (length, lex)-smaller word is kept; weights of
     re-oriented keys flip sign (phi(v^-1) = -phi(v)) and colliding entries
-    merge.
+    merge.  Every key is checked, those of weight 0 included.
     """
-    merged: dict[Word, Fraction] = {}
-    for v, c in entries.items():
+    for v in entries:
         _check_key(v)
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not is_canonical(v):
-            v, c = inverse(v), -c
-        prev = merged.get(v)
-        merged[v] = c if prev is None else prev + c
-    return BrooksSum({v: c for v, c in merged.items() if c != 0}, Mode.BROOKS)
+    return Accumulator(entries).as_sum()
 
 
 def phi(v: Word) -> BrooksSum:

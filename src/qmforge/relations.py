@@ -20,12 +20,11 @@ trailing exponent, LEFT for the leading one) is also the kind that leads
 each relation pair it consumes.  The keys of one column (one core, many
 exponents) share one walk, so phi(b^m) costs O(m) steps, not O(m^2).
 A rewrite is a sequence of passes over one accumulator, a _Rewriter seeded
-with the input's weight: each pass takes the keys it rewrites out of the
-accumulator and walks them, adding targets and debris back in place.  The
-accumulator holds integer numerators over one denominator, the lcm of the
-seed weights' denominators (walks only add and negate coefficients), and
-every key in it is canonical from the moment it enters, so the result only
-drops zeros and turns numerators back into fractions.
+with the input's weight: each pass takes the keys it rewrites out of it and
+walks them, adding targets and debris back in place.  _Rewriter is
+counting.Accumulator (canonical keys, integer numerators over one
+denominator; walks only add and negate coefficients) plus the trace and the
+walks, so the result is the accumulator's sum and the trace.
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -36,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .counting import BrooksSum, Mode, _check_key, check_sum, counting_sum
+from .counting import Accumulator, BrooksSum, Mode, _denominator, check_sum, counting_sum
 from .freegroup import (
     B,
     Alphabet,
@@ -80,11 +78,6 @@ def extension_relation(kind: RelationKind, w: Word, alphabet: Alphabet) -> Brook
     for u in _extensions(kind, w, alphabet.letters()):
         entries[u] = -1
     return counting_sum(entries)
-
-
-def _denominator(coefficients: Iterable[Fraction]) -> int:
-    """The lcm of the denominators: scaled by it, every coefficient is an integer."""
-    return lcm(*{c.denominator for c in coefficients})
 
 
 def _scaled_into(acc: dict[Word, int], f: BrooksSum, den: int, sign: int) -> None:
@@ -156,50 +149,25 @@ def _attach(side: RelationKind, core: Word, block: Word) -> Word:
     return core + block if side is RelationKind.RIGHT else block + core
 
 
-class _Rewriter:
-    """Accumulates a weight and a trace while stepping exponents.
+class _Rewriter(Accumulator):
+    """An accumulator that records a trace while stepping exponents.
 
     Rewriting one exponent step of a Brooks key consumes the relation pair
     r_base - l_{base^-1} (or the mirror) with a single coefficient: trace
     entries (lead, base, -c) and (mirror, base^-1, +c), which keep the
-    certificate exact on both the word and its inverse.  The weight maps
-    canonical keys to integer numerators over den, the lcm of the seed
-    weights' denominators; coefficients passed to and returned by take,
-    emit and sweep are numerators too.  Until result() it may hold zeros.
+    certificate exact on both the word and its inverse.  Coefficients passed
+    to and returned by the walks are numerators over den, as for take and
+    emit.
     """
 
     def __init__(self, alphabet: Alphabet, weight: dict[Word, Fraction]) -> None:
+        super().__init__(weight)
         self.s_b = alphabet.s_b()
-        self.den = _denominator(weight.values())
-        self.weight: dict[Word, int] = {}
         self.steps: list[TraceStep] = []
-        for v, c in weight.items():
-            self.emit(v, c.numerator * (self.den // c.denominator))
-
-    def take(self, pick: Callable[[Word], bool]) -> dict[Word, int]:
-        """Remove the keys pick selects; return those of nonzero weight."""
-        picked = [v for v in self.weight if pick(v)]
-        taken = {v: self.weight.pop(v) for v in picked}
-        return {v: n for v, n in taken.items() if n}
-
-    def emit(self, w: Word, n: int) -> None:
-        if n == 0:
-            return
-        if not w:
-            raise ValueError("rewriting emitted the identity")
-        if not is_canonical(w):
-            w, n = inverse(w), -n
-        self.weight[w] = self.weight.get(w, 0) + n
 
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         """The weight as a Brooks sum, zeros dropped, and the trace."""
-        fractions: dict[int, Fraction] = {}
-        out: dict[Word, Fraction] = {}
-        for v, n in self.weight.items():
-            if n:
-                _check_key(v)
-                out[v] = fractions.get(n) or fractions.setdefault(n, Fraction(n, self.den))
-        return BrooksSum(out, Mode.BROOKS), RewriteTrace(tuple(self.steps))
+        return self.as_sum(), RewriteTrace(tuple(self.steps))
 
     # -- exponent walks at one end of the key ---------------------------------
 

@@ -114,7 +114,12 @@ def rot(alphabet: Alphabet) -> BrooksSum:
 
 @dataclass(frozen=True)
 class SpeedReport:
-    """Speed of T^-1 on [f], with the decomposition that certifies it."""
+    """Speed of T^-1 on [f], with the decomposition that certifies it.
+
+    Only value is a class invariant: rot_coefficient (lambda) and residue
+    belong to this representative's decomposition, and adding a bounded sum
+    to f can change them.
+    """
 
     rot_coefficient: Fraction
     value: int

@@ -20,6 +20,7 @@ from qmforge.action import (
 )
 from qmforge.counting import BrooksSum, Mode, brooks_sum, evaluate, format_sum, norm, phi
 from qmforge.freegroup import (
+    A,
     B,
     Alphabet,
     NielsenGen,
@@ -30,7 +31,7 @@ from qmforge.freegroup import (
     tau,
 )
 
-from _corpus import corpus
+from _corpus import corpus, random_reduced_word
 from _optimized import run_optimized
 
 AL = Alphabet(2)
@@ -314,3 +315,48 @@ def test_act_handles_b_power_keys():
     transported = lambda v: evaluate(cf, apply_nielsen(NielsenGen.T, v, AL))
     rep = empirical_equiv(g, transported, AL, radii=(3, 4, 5))
     assert rep.verdict is Verdict.LIKELY_EQUIV
+
+
+def _reference_act(x, f, alphabet):
+    """act written key by key: every generator relabels (P1, P2, H) or
+    expands (T^-1, after eliminate_b_powers) each key into a raw weight,
+    and brooks_sum merges it."""
+    from qmforge.relations import eliminate_b_powers
+
+    for gen in x.gens:
+        if gen is NielsenGen.TINV:
+            f, _ = eliminate_b_powers(f, alphabet)
+        raw = {}
+        for v, c in f.weight.items():
+            if gen is not NielsenGen.TINV:
+                image = {apply_nielsen(gen, v, alphabet): 1}
+            elif tau(v) is None:
+                image = {(A,): 1, (B,): 1}
+            else:
+                image = w1_support(v, alphabet).weight()
+            for u, cu in image.items():
+                raw[u] = raw.get(u, Fraction(0)) + c * cu
+        f = brooks_sum(raw)
+    return brooks_sum(dict(f.weight))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_act_matches_a_key_by_key_reference(rank):
+    """Turned keys, b-power keys, denominators 1-7, and Nielsen words of 0-4
+    generators drawn with T among them."""
+    import random
+
+    alphabet = Alphabet(rank)
+    rng = random.Random(1500 + rank)
+    gens = [NielsenGen.P1, NielsenGen.P2, NielsenGen.H, NielsenGen.TINV, NielsenGen.T]
+    for _ in range(60):
+        weight = {}
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                v = (rng.choice([B, -B]),) * rng.randint(1, 4)
+            else:
+                v = random_reduced_word(rng, alphabet, rng.randint(1, 4))
+            weight[v] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+        f = BrooksSum(weight, Mode.BROOKS)  # keys as drawn, either orientation
+        x = NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 4)))
+        assert act(x, f, alphabet) == _reference_act(x, f, alphabet), (f.weight, x)

@@ -196,6 +196,21 @@ def test_rank_flag_must_be_at_least_two(capsys):
     assert code == 2 and "rank" in err
 
 
+@pytest.mark.parametrize(
+    "flag, env, rank",
+    [(["--rank", "1"], None, 1), (["--rank", "27"], None, 27), ([], "40", 40)],
+    ids=["flag-1", "flag-27", "env-40"],
+)
+def test_rank_outside_the_alphabet_exits_2(capsys, monkeypatch, flag, env, rank):
+    # both ends of the range are one usage error, from the flag or the environment
+    if env is not None:
+        monkeypatch.setenv("QMFORGE_RANK", env)
+    code, _, err = run(capsys, "norm", "phi(a)", *flag)
+    assert code == 2
+    assert f"rank must be between 2 and 26, got {rank}" in err
+    assert "contract violation" not in err
+
+
 def test_rank_flag_enables_higher_letters(capsys):
     code, out, _ = run(capsys, "norm", "phi(cab)", "--rank", "3")
     assert code == 0 and out.strip() == "3"

@@ -82,6 +82,14 @@ def test_sums_reject_the_identity_and_unreduced_keys(make):
             make({w("ab"): 1, v: 1})
 
 
+def test_brooks_sum_checks_keys_of_weight_zero():
+    # a zero weight drops out of the sum, but its key is still checked
+    with pytest.raises(ValueError, match="the identity cannot carry weight"):
+        brooks_sum({w("ab"): 1, (): 0})
+    with pytest.raises(ValueError, match="is not reduced"):
+        brooks_sum({w("ab"): 1, (1, -1): Fraction(0)})
+
+
 def test_phi_of_inverse_is_negation():
     for v in ball(AL, 4):
         if not v:

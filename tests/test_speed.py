@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import brooks_sum, format_sum, phi, zero
+from qmforge.counting import as_counting, brooks_sum, format_sum, phi, zero
 from qmforge.freegroup import A, Alphabet, Kind, NielsenGen, b_form, ball, inverse, parse_word
 from qmforge.relations import RelationKind, extension_relation, normal_form
 from qmforge.speed import (
@@ -197,6 +197,31 @@ def test_lambda_with_leftover_homomorphism_part():
     assert report.rot_coefficient == 1
     assert report.residue == phi(w("a")).scale(-1)
     assert report.value == 0
+
+
+def test_lambda_and_residue_belong_to_the_representative():
+    # rho_u = phi(u) - sum_{s != u_k^-1} phi(us) is r_u - l_{u^-1}, a bounded
+    # function, so f and f + 2 rho_a - 3 rho_acca are one class at rank 3.
+    al = Alphabet(3)
+
+    def rho(text):
+        u = parse_word(text, al)
+        out = phi(u)
+        for s in al.letters():
+            if s != -u[-1]:
+                out = out - phi(u + (s,))
+        bounded = extension_relation(RelationKind.RIGHT, u, al) - extension_relation(
+            RelationKind.LEFT, inverse(u), al
+        )
+        assert as_counting(out) == bounded
+        return out
+
+    f = phi(parse_word("c", al)).scale(-5) - phi(parse_word("ab'b'", al)).scale(3)
+    g = f + rho("a").scale(2) - rho("acca").scale(3)
+    reports = [speed(f, al), speed(g, al)]
+    assert [r.value for r in reports] == [1, 1]
+    assert [r.rot_coefficient for r in reports] == [3, 0]
+    assert reports[0].residue != reports[1].residue
 
 
 def test_phi_b_squared_decomposition_is_frozen():
