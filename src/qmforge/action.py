@@ -277,7 +277,8 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
     Generators apply in sequence order, matching NielsenWord.word: the word
     [g1, g2] acts as g2[g1[f]].  f is checked once and seeds one accumulator;
     each generator is a pass that takes every key and emits its image times
-    its numerator, T^-1 after unwinding the b-power keys to b.
+    its numerator, T^-1 after unwinding the b-power keys to b and charging
+    its images to the accumulator's letter budget.
     """
     check_sum(f, alphabet)
     if isinstance(x, NielsenGen):
@@ -286,6 +287,8 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
     for gen in x.gens:
         if gen is NielsenGen.TINV:
             _unwind_b_powers(acc)
+            # w1_support(v) has at most 4 words of length at most 2|v| + 2.
+            acc.charge(sum(8 * len(v) + 8 for v in acc.weight))
         for v, n in acc.take(lambda v: True).items():
             if gen is not NielsenGen.TINV:
                 acc.emit(apply_nielsen(gen, v, alphabet), n)

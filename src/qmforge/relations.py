@@ -37,7 +37,15 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .counting import Accumulator, BrooksSum, Mode, _denominator, check_sum, counting_sum
+from .counting import (
+    Accumulator,
+    BrooksSum,
+    Mode,
+    _check_key,
+    _denominator,
+    check_sum,
+    counting_sum,
+)
 from .freegroup import (
     B,
     Alphabet,
@@ -74,6 +82,7 @@ def _extensions(kind: RelationKind, w: Word, letters: list[int]) -> list[Word]:
 
 def extension_relation(kind: RelationKind, w: Word, alphabet: Alphabet) -> BrooksSum:
     """The relation l_w or r_w as a COUNTING-mode sum."""
+    alphabet.check_word(w)
     entries: dict[Word, int] = {w: 1}
     for u in _extensions(kind, w, alphabet.letters()):
         entries[u] = -1
@@ -149,6 +158,15 @@ def _attach(side: RelationKind, core: Word, block: Word) -> Word:
     return core + block if side is RelationKind.RIGHT else block + core
 
 
+# The most letters one _Rewriter may write: debris keys and trace bases of
+# every walk, and act's T^-1 images, by the closed-form counts charged before
+# each is written.  normal_form(phi(b^700)) at rank 2 charges 2.94 million
+# (phi(b^500): 1.50 million at rank 2, 7.0 million at rank 4); no test or
+# bench input charges over 0.2 million.  At m = 20,000 the first walk of
+# phi(b^m a b^m) + phi(bab) alone would charge 2.4 billion.
+REWRITE_LETTER_BUDGET = 3_000_000
+
+
 class _Rewriter(Accumulator):
     """An accumulator that records a trace while stepping exponents.
 
@@ -157,13 +175,23 @@ class _Rewriter(Accumulator):
     entries (lead, base, -c) and (mirror, base^-1, +c), which keep the
     certificate exact on both the word and its inverse.  Coefficients passed
     to and returned by the walks are numerators over den, as for take and
-    emit.
+    emit.  Each walk charges the letters it will write before writing them.
     """
 
     def __init__(self, alphabet: Alphabet, weight: dict[Word, Fraction]) -> None:
         super().__init__(weight)
         self.s_b = alphabet.s_b()
         self.steps: list[TraceStep] = []
+        self.letters = 0
+
+    def charge(self, letters: int) -> None:
+        """Count letters about to be written against REWRITE_LETTER_BUDGET."""
+        self.letters += letters
+        if self.letters > REWRITE_LETTER_BUDGET:
+            raise ValueError(
+                f"the rewrite would write up to {self.letters} letters, over the budget "
+                f"REWRITE_LETTER_BUDGET = {REWRITE_LETTER_BUDGET}"
+            )
 
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         """The weight as a Brooks sum, zeros dropped, and the trace."""
@@ -183,6 +211,10 @@ class _Rewriter(Accumulator):
         """
         if not exponents:
             return
+        # Per step: two trace bases of length |base| and one debris key per s, one longer.
+        n, k = len(exponents), len(self.s_b)
+        bases = n * len(core) + n * (abs(exponents[0]) + abs(exponents[-1])) // 2
+        self.charge((2 + k) * bases + k * n)
         mirror, inv_core = _MIRROR[side], inverse(core)
         right = side is RelationKind.RIGHT
         weight, steps = self.weight, self.steps
@@ -219,6 +251,7 @@ class _Rewriter(Accumulator):
             self._run(side, core, range(m - sgn, 0, -sgn), c)
             # RIGHT: phi(core b^sgn) = phi(core) - phi(core b^-sgn) - debris
             end = core[-1] if side is RelationKind.RIGHT else core[0]
+            self.charge((3 + len(self.s_b)) * len(core) + len(self.s_b))
             c_step = Fraction(c, self.den)
             self.steps += (
                 TraceStep(side, core, -c_step),
@@ -285,6 +318,8 @@ def retarget_power(
     """
     if not x or not is_truncated(x):
         raise ValueError("x must be a nonempty b-truncated word")
+    _check_key(x)
+    alphabet.check_word(x)
     if m_from == 0 or m_to == 0:
         raise ValueError("retargeted exponents must be nonzero")
     rewriter = _Rewriter(alphabet, {})
@@ -311,7 +346,7 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
 def _unwind_b_powers(rewriter: _Rewriter) -> None:
     """The pass of eliminate_b_powers: take the b-power keys, walk them to b."""
     powers = rewriter.take(lambda v: tau(v) is None)
-    members = [(len(v), n if v[0] == B else -n) for v, n in powers.items()]
+    members = [(len(v), n) for v, n in powers.items()]  # canonical: v = b^len(v)
     rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
 
 
@@ -383,14 +418,24 @@ def _is_column(v: Word) -> bool:
     return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B)
 
 
-def _take_columns(rewriter: _Rewriter, pick: Callable[[Word], bool]) -> dict[Word, dict[int, int]]:
-    """Take the b-left and right-b keys that pick selects out of the
-    accumulator, as columns {x: {m: numerator of phi(b^m x)}}.
+def _smallest_exponent(skel: Word, members: dict[int, int]) -> int:
+    """normal_form's survivor: the smallest |m|, then (length, lex) of b^m skel."""
+    return min(members, key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)))
+
+
+def _merge_columns(
+    rewriter: _Rewriter,
+    pick: Callable[[Word], bool] = _is_column,
+    survivor: Callable[[Word, dict[int, int]], int] = _smallest_exponent,
+) -> None:
+    """Walk each column of the keys pick takes out of the accumulator onto
+    the exponent survivor(skel, {m: numerator of phi(b^m skel)}) names.
 
     A b-left key b^m x sits in column x; a right-b key y b^q equals
     -phi(b^{-q} y^-1), i.e. column y^-1.  The accumulator holds one
-    orientation of each key, so every exponent of a column comes from
-    exactly one key.
+    orientation of each key, so every exponent of a column comes from one
+    key.  normal_form keeps one exponent per column, as keys sharing one
+    violate the support conditions.
     """
     columns: dict[Word, dict[int, int]] = {}
     for v, n in rewriter.take(pick).items():
@@ -400,20 +445,8 @@ def _take_columns(rewriter: _Rewriter, pick: Callable[[Word], bool]) -> dict[Wor
         assert t is not None
         m = len(v) - len(t) if v[0] == B else len(t) - len(v)  # v = b^m t
         columns.setdefault(t, {})[m] = n
-    return columns
-
-
-def _merge_columns(rewriter: _Rewriter) -> None:
-    """Collapse each b-left column, absorbing right-b keys of the inverse row.
-
-    Keys sharing a column violate the support conditions (same skeleton, or
-    the mixed inverse condition), so each column retargets onto one
-    surviving exponent.  Distinct columns, including mutually inverse ones,
-    may coexist.
-    """
-    columns = _take_columns(rewriter, _is_column)
     for skel, members in sorted(columns.items(), key=lambda kv: word_sort_key(kv[0])):
-        m_t = min(members, key=lambda m: (abs(m), word_sort_key(b_power(m) + skel)))
+        m_t = survivor(skel, members)
         target = b_power(m_t) + skel
         rewriter.emit(target, rewriter.sweep(RelationKind.LEFT, skel, members.items(), m_t))
 

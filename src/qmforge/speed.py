@@ -2,10 +2,11 @@
 
 The speed of a single key phi_w is a closed form in the b-representation of
 w: the alternation count |A+| + |A-| plus a kind offset.  For sums the value
-is read off a speed-reduced decomposition f ~ lambda*rot + g: the one
-degenerate configuration (all top-speed keys are single-skeleton-letter
-words carrying one boundary b-exponent) is repaired by walking those
-exponents to 1 and absorbing the b*a^-1 / a*b column into rot.
+is read off a speed-reduced decomposition f ~ lambda*rot + g.  In the one
+degenerate configuration (the top-speed keys hold an edge column b^m s or
+s b^m, and nothing but edge columns and b-truncated keys) relations'
+_merge_columns with edge targets walks each edge column to exponent 1, and
+the b*a^-1 / a*b column is absorbed into rot.
 
 support_geometry reports the length grid of the n-support of one key from
 the actual factor words, plus the cutoff n_b below which non-b-truncated
@@ -43,7 +44,6 @@ from .freegroup import (
     NielsenGen,
     Word,
     b_form,
-    b_power,
     inverse,
     kind_of,
     skeleton,
@@ -51,11 +51,10 @@ from .freegroup import (
     word_sort_key,
 )
 from .relations import (
-    RelationKind,
     RewriteTrace,
     _is_column,
+    _merge_columns,
     _Rewriter,
-    _take_columns,
     eliminate_b_powers,
     is_normal_form,
     normal_form,
@@ -144,18 +143,12 @@ def _is_edge_column(v: Word) -> bool:
 def _reduced_as_given(top: list[Word]) -> bool:
     """Does the top-speed set already force speed = max support speed?
 
-    True when it holds a b-and-b key, or a b-left/right-b key of b-length
-    at least 2, or nothing but b-truncated keys.
+    False only in the degenerate configuration: top holds an edge column,
+    and nothing but edge columns and b-truncated keys.
     """
-    kinds = [kind_of(v) for v in top]
-    if Kind.B_AND_B in kinds:
-        return True
-    if any(
-        kind in (Kind.B_LEFT, Kind.RIGHT_B) and len(skeleton(v)) >= 2
-        for v, kind in zip(top, kinds)
-    ):
-        return True
-    return all(kind is Kind.B_TRUNCATED for kind in kinds)
+    return not any(map(_is_edge_column, top)) or not all(
+        _is_edge_column(v) or kind_of(v) is Kind.B_TRUNCATED for v in top
+    )
 
 
 def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, BrooksSum, RewriteTrace]:
@@ -166,10 +159,7 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
     of rot.  Everything else passes through untouched.
     """
     rewriter = _Rewriter(alphabet, nf.weight)
-    for skel, members in _take_columns(rewriter, _is_edge_column).items():
-        target = -1 if skel == (-A,) else 1
-        total = rewriter.sweep(RelationKind.LEFT, skel, members.items(), target)
-        rewriter.emit(b_power(target) + skel, total)
+    _merge_columns(rewriter, _is_edge_column, lambda skel, _: -1 if skel == (-A,) else 1)
     mid, trace = rewriter.result()
     lam = mid.coefficient((A, B))
     residue = mid - rot(alphabet).scale(lam)

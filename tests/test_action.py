@@ -360,3 +360,32 @@ def test_act_matches_a_key_by_key_reference(rank):
         f = BrooksSum(weight, Mode.BROOKS)  # keys as drawn, either orientation
         x = NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 4)))
         assert act(x, f, alphabet) == _reference_act(x, f, alphabet), (f.weight, x)
+
+
+# -- the letter budget -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 7), (3, 5), (4, 4)])
+def test_the_act_charge_covers_each_one_step_support(rank, radius):
+    """act charges a T^-1 pass 8|v| + 8 letters per key v: w1_support(v) has
+    at most 4 words, each of length at most 2|v| + 2."""
+    alphabet = Alphabet(rank)
+    for v in ball(alphabet, radius):
+        if v and tau(v) is not None:
+            words = w1_support(v, alphabet).weight()
+            assert len(words) <= 4 and max(map(len, words)) <= 2 * len(v) + 2, v
+
+
+def test_act_over_the_rewrite_budget_is_refused_before_the_pass(monkeypatch):
+    """With the budget one letter short of the first T^-1 pass's charge
+    (8 * 2 + 8 for phi(ab)), act refuses before it builds an image."""
+    from qmforge import action, relations
+
+    def refuse(*args):
+        raise AssertionError(f"the pass started before the budget check: {args}")
+
+    monkeypatch.setattr(relations, "REWRITE_LETTER_BUDGET", 23)
+    monkeypatch.setattr(action, "w1_support", refuse)
+    refusal = r"up to 24 letters, over the budget REWRITE_LETTER_BUDGET = 23$"
+    with pytest.raises(ValueError, match=refusal):
+        act(NielsenWord.parse("P1*Tinv"), phi(w("ab")), AL)

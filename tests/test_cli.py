@@ -184,6 +184,31 @@ def test_bad_nrep_exponent_exits_3(capsys):
     assert err.strip() == "qmforge: contract violation in action: n must be >= 1"
 
 
+@pytest.mark.parametrize(
+    "expr,env,position,message",
+    [
+        ("", None, 0, "empty expression"),
+        ("phi(a) phi(b)", None, 7, "expected '+' or '-', found 'p'"),
+        ("2*psi(a)", None, 2, "expected 'phi', '#' or 'rot'"),
+        ("1/0*phi(a)", None, 2, "zero denominator"),
+        ("1/*phi(a)", None, 2, "expected an integer"),
+        ("phi a", None, 4, "expected '('"),
+        ("phi(ab", None, 4, "missing ')'"),
+        ("phi(a)", "two", 0, "QMFORGE_RANK is not an integer: 'two'"),
+    ],
+    ids=["empty", "no-operator", "no-term", "zero-den", "no-integer", "no-paren", "no-close",
+         "env-rank"],
+)
+def test_each_parse_error_exits_2_with_its_position(
+    capsys, monkeypatch, expr, env, position, message
+):
+    if env is not None:
+        monkeypatch.setenv("QMFORGE_RANK", env)
+    code, out, err = run(capsys, "norm", expr)
+    assert code == 2 and out == ""
+    assert err == f"qmforge: syntax error at position {position}: {message}\n"
+
+
 def test_argparse_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -372,6 +397,25 @@ def test_nrep_budget_admits_the_10201_key_square_and_the_bench_requests(capsys, 
         if v
     )
     assert 3 * worst <= cli.NREP_LETTER_BUDGET
+
+
+@pytest.mark.parametrize(
+    "argv,letters",
+    [
+        (["normal-form", f"phi({'b' * 20_000}a{'b' * 20_000}) + phi(bab)"], 2399999994),
+        (["act", "*".join(["Tinv", "P1"] * 20), "phi(ab)"], 3881224),
+    ],
+    ids=["box-20000", "tinv-p1-20"],
+)
+def test_rewrites_over_the_letter_budget_exit_3(capsys, argv, letters):
+    """The box sum is refused at its first walk; (Tinv*P1)^20 at the T^-1
+    pass of its eleventh pair, after about 0.9 million letters."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"qmforge: contract violation in relations: the rewrite would write up to {letters} "
+        "letters, over the budget REWRITE_LETTER_BUDGET = 3000000"
+    )
 
 
 def test_ball_over_its_radius_limit_exits_3_under_python_O():

@@ -20,6 +20,7 @@ from qmforge.counting import (
 )
 from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import (
+    A,
     B,
     Alphabet,
     Kind,
@@ -33,6 +34,7 @@ from qmforge.freegroup import (
 )
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
+    REWRITE_LETTER_BUDGET,
     NormalFormViolation,
     RelationKind,
     RewriteTrace,
@@ -129,6 +131,41 @@ def test_retarget_rejects_bad_input():
         retarget_power(RelationKind.RIGHT, w("a"), 0, 0, 2, AL)  # zero exponent
 
 
+ENTRY_REFUSALS = "\n".join(
+    f"retarget_power(RelationKind.RIGHT, {x!r}, 0, 1, 2, Alphabet({rank})): {message}"
+    for rank in (2, 3, 4)
+    for x, message in (
+        ((rank + 1,), f"letter {rank + 1} is not in the alphabet of rank {rank}"),
+        ((A, 0), f"letter 0 is not in the alphabet of rank {rank}"),
+        ((A, -A), "key (1, -1) is not reduced"),
+    )
+) + "\n" + "\n".join(
+    f"extension_relation({kind}, {v!r}, Alphabet({rank})): "
+    f"letter {v[-1]} is not in the alphabet of rank {rank}"
+    for rank in (2, 3, 4)
+    for kind in ("RelationKind.LEFT", "RelationKind.RIGHT")
+    for v in ((rank + 1,), (A, -(rank + 1)), (0,))
+)
+
+
+def test_retarget_power_and_extension_relation_check_their_word_under_python_O():
+    """x and w are checked where they enter, at ranks 2-4, also with asserts
+    stripped: a letter outside the alphabet, and an unreduced x named as
+    itself rather than as the key built from it."""
+    script = (
+        "from qmforge.freegroup import Alphabet\n"
+        "from qmforge.relations import RelationKind, extension_relation, retarget_power\n"
+        f"for call in {ENTRY_REFUSALS.splitlines()!r}:\n"
+        "    try:\n"
+        "        eval(call.split(': ')[0])\n"
+        "    except ValueError as exc:\n"
+        "        print(call.split(': ')[0] + ': ' + str(exc))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ENTRY_REFUSALS
+
+
 def _sweep_cases(rng):
     """Random columns at ranks 2-4: members on both sides of the target,
     repeated exponents, a member at -m_t, and coefficients that cancel."""
@@ -188,6 +225,58 @@ def test_column_sweep_equals_the_sum_of_one_member_walks():
         assert trace_each.certifies(before, after_each, alphabet), case
         assert all(step.coefficient != 0 for step in trace.steps), case
         assert len(trace.steps) <= len(trace_each.steps), case
+
+
+class _LetterCount(dict):
+    """A weight that counts the letters of every key written into it."""
+
+    letters = 0
+
+    def __setitem__(self, key, value):
+        self.letters += len(key)
+        super().__setitem__(key, value)
+
+
+def test_each_walk_charges_at_least_the_letters_it_writes():
+    """The closed-form charge covers the trace bases and the debris keys
+    actually written.  It is exact, except that a zero crossing charges one
+    debris key per s in S_b where s = end^-1 writes none."""
+    crossed = 0
+    for alphabet, side, core, members, m_t in _sweep_cases(random.Random(43)):
+        case = (alphabet.rank, side, core, members, m_t)
+        rewriter, numerators = _rewriter_for(alphabet, members)
+        rewriter.weight = _LetterCount()
+        rewriter.sweep(side, core, numerators, m_t)
+        written = rewriter.weight.letters + sum(len(step.base) for step in rewriter.steps)
+        crossings = sum(len(step.base) == len(core) for step in rewriter.steps[::2])
+        crossed += crossings
+        assert written <= rewriter.letters <= written + crossings * (len(core) + 1), case
+    assert crossed
+
+
+def test_a_box_sum_over_the_rewrite_budget_is_refused_before_its_first_walk_writes(
+    monkeypatch,
+):
+    """phi(b^m a b^m) + phi(bab) at m = 20,000: the first walk's charge,
+    2.4 billion letters, is refused before a trace step or debris key exists."""
+    charges = []
+    real = _Rewriter.charge
+
+    def charge(self, letters):
+        charges.append((letters, list(self.steps), dict(self.weight)))
+        real(self, letters)
+
+    monkeypatch.setattr(_Rewriter, "charge", charge)
+    m = 20_000
+    f = phi(b_power(m) + (A,) + b_power(m)) + phi(w("bab"))
+    with pytest.raises(ValueError) as exc:
+        normal_form(f, AL)
+    assert str(exc.value) == (
+        "the rewrite would write up to 2399999994 letters, over the budget "
+        f"REWRITE_LETTER_BUDGET = {REWRITE_LETTER_BUDGET}"
+    )
+    # the box pass took both keys out; nothing was written back
+    assert charges == [(2399999994, [], {})]
 
 
 def _one_step_sweep(alphabet, side, core, members, m_to):
