@@ -72,6 +72,9 @@ class NielsenWord:
 
     @staticmethod
     def parse(text: str) -> "NielsenWord":
+        """Parse `P1*H*Tinv`; the whole text `e` (like the empty text) is the identity."""
+        if text == "e":
+            return NielsenWord(())
         names = {g.value: g for g in NielsenGen}
         gens = []
         for token in text.replace("*", " ").split():
@@ -226,6 +229,8 @@ def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
 
 def n_representative(w: Word, n: int, alphabet: Alphabet) -> BrooksSum:
     """The n-representative of phi_w; for w = b it is n phi_a + phi_b."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not w:
         raise ValueError("no representative of the identity")
     if tau(w) is None:
@@ -238,6 +243,8 @@ def n_representative(w: Word, n: int, alphabet: Alphabet) -> BrooksSum:
 
 def n_representative_sum(f: BrooksSum, n: int, alphabet: Alphabet) -> BrooksSum:
     """Key-by-key n-representative of a sum whose only b-power key is b."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     check_sum(f, alphabet)
     entries: dict[Word, Fraction] = {}
     for v, c in f.weight.items():

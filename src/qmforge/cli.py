@@ -252,7 +252,7 @@ NREP_LETTER_BUDGET = 20_000_000
 
 def _cmd_nrep(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     g, _ = eliminate_b_powers(f, alphabet)
-    letters = n_representative_letters(g, max(ns.n, 0), alphabet)  # n < 1 is nrep's to refuse
+    letters = n_representative_letters(g, max(ns.n, 0), alphabet)  # n < 1 is refused below
     if letters > NREP_LETTER_BUDGET:
         raise ValueError(
             f"nrep would write up to {letters} letters (n = {ns.n}), over the budget "

@@ -26,7 +26,6 @@ from .action import (
     act,
     left_factors,
     n_representative,
-    n_representative_sum,
     nrep,
 )
 from .counting import (
@@ -55,7 +54,6 @@ from .relations import (
     _is_column,
     _merge_columns,
     _Rewriter,
-    eliminate_b_powers,
     is_normal_form,
     normal_form,
 )
@@ -289,29 +287,19 @@ def empirical_speed(
 ) -> GaugeSeries:
     """Certified lengths of representatives of x^n[f] against n.
 
-    For x = T^-1 the representative is the explicit n-representative (so the
-    whole series costs one pass); any other Nielsen word is iterated.  Each
-    sample carries the best length certificate available: EXACT when the
-    class length is pinned, otherwise the support norm as an UPPER bound.
-    No convergence claim is made - the ratios are raw data.
+    The representative of x^n[f] is act(x, .) applied n times to f, for T^-1
+    as for any other Nielsen word, so every step is checked and charged to
+    relations.REWRITE_LETTER_BUDGET like any act.  Each sample carries the
+    best length certificate available: EXACT when the class length is pinned,
+    otherwise the support norm as an UPPER bound.  No convergence claim is
+    made - the ratios are raw data.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if isinstance(x, NielsenGen):
-        x = NielsenWord.from_gens([x])
-
-    pure_tinv = x.gens == (NielsenGen.TINV,)
-    if pure_tinv:
-        base, _ = eliminate_b_powers(f, alphabet)
-
     samples = []
-    g = f
+    rep = f
     for n in range(1, n_max + 1):
-        if pure_tinv:
-            rep = n_representative_sum(base, n, alphabet)
-        else:
-            g = act(x, g, alphabet)
-            rep = g
+        rep = act(x, rep, alphabet)
         cert = certified_reduced_length(rep, alphabet)
         if cert.status is LengthStatus.UNKNOWN:
             length, tag = norm(rep), BoundTag.UPPER

@@ -169,6 +169,13 @@ def test_nielsen_word_parse_and_t_expansion():
         NielsenWord.parse("Q")
 
 
+def test_nielsen_word_parse_reads_the_whole_text_e_as_the_identity():
+    assert NielsenWord.parse("e") == NielsenWord.parse("") == NielsenWord(())
+    for text in ("e*P1", "P1*e", "e e", "E"):
+        with pytest.raises(ValueError, match="unknown Nielsen generator"):
+            NielsenWord.parse(text)
+
+
 # -- n-representatives -------------------------------------------------------------
 
 
@@ -206,6 +213,29 @@ def test_n_representative_rejects_long_b_powers():
         n_representative_sum(phi(w("b'b'")), 2, AL)
     with pytest.raises(ValueError):
         n_representative(w("ba"), 0, AL)
+
+
+def test_n_representatives_of_b_refuse_n_below_1_under_python_O():
+    """b's closed form n phi_a + phi_b is refused at n <= 0 too, for the key
+    and for a sum holding it, at ranks 2-4 even with asserts stripped."""
+    script = (
+        "from qmforge.action import n_representative, n_representative_sum\n"
+        "from qmforge.counting import phi\n"
+        "from qmforge.freegroup import B, Alphabet\n"
+        "for rank in (2, 3, 4):\n"
+        "    al = Alphabet(rank)\n"
+        "    for key in ((B,), (-B,)):\n"
+        "        for n in (0, -1):\n"
+        "            for call in (lambda: n_representative(key, n, al),\n"
+        "                         lambda: n_representative_sum(phi(key), n, al)):\n"
+        "                try:\n"
+        "                    print('admitted', rank, key, n, call())\n"
+        "                except ValueError as exc:\n"
+        "                    print(exc)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["n must be >= 1"] * 24
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import json
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
 from qmforge import cli
-from qmforge.action import n_representative_letters
+from qmforge.action import act, n_representative_letters
 from qmforge.cli import ExpressionError, main, parse_expression
 from qmforge.counting import format_sum, phi
+from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import Alphabet, ball, parse_word
 from qmforge.relations import eliminate_b_powers
+from qmforge.speed import rot
 
+from _corpus import random_brooks_sum
 from _optimized import run_optimized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +118,24 @@ def test_exclude_fixpoint_rot_flip(capsys):
     assert code == 0 and out.strip() == "X = H, rot 1 -> -1"
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_the_x_exclude_fixpoint_prints_is_read_back_by_act(capsys, rank):
+    """X = e included: act applies the printed X as the library applies wit.X."""
+    al, flag = Alphabet(rank), f"--rank={rank}"
+    rng = random.Random(1700 + rank)
+    sums = [random_brooks_sum(rng, al, 4, 4) for _ in range(8)]
+    printed = set()
+    for f in [f for f in sums if f.weight] + [phi(parse_word("b", al)), rot(al)]:
+        expr = format_sum(f)
+        code, out, _ = run(capsys, "exclude-fixpoint", flag, "--format=json", "--", expr)
+        assert code == 0
+        x = json.loads(out)["X"]
+        printed.add(x)
+        code, out, _ = run(capsys, "act", flag, "--", x, expr)
+        assert (code, out.strip()) == (0, format_sum(act(exclude_fixpoint(f, al).X, f, al))), x
+    assert "e" in printed and len(printed) > 1, printed
+
+
 def test_ball_command(capsys):
     code, out, _ = run(capsys, "ball", "5")
     assert code == 0 and out.strip() == "485"
@@ -181,6 +203,17 @@ def test_zero_class_fixpoint_exits_3(capsys):
 def test_bad_nrep_exponent_exits_3(capsys):
     code, _, err = run(capsys, "nrep", "phi(ab)", "0")
     assert code == 3
+    assert err.strip() == "qmforge: contract violation in action: n must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "expr,n",
+    [("phi(b)", "0"), ("phi(b)", "-5"), ("0*phi(ab)", "0")],
+    ids=["b-0", "b-minus-5", "zero-0"],
+)
+def test_nrep_below_1_exits_3_for_b_and_for_the_zero_sum(capsys, expr, n):
+    code, out, err = run(capsys, "nrep", expr, n)
+    assert (code, out) == (3, "")
     assert err.strip() == "qmforge: contract violation in action: n must be >= 1"
 
 

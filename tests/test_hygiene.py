@@ -17,7 +17,8 @@ type (``x is not None``, possibly several joined by ``and``), because a
 check that must hold under ``-O`` raises instead.  ``oracle.py`` may import neither the
 fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``) nor any
 module of the algebra it checks (``relations``, ``action``, ``speed``,
-``fixpoints``).
+``fixpoints``).  Every source parses under the Python 3.10 grammar, the
+oldest that CI runs; that checks syntax only, not stdlib names new in 3.11.
 """
 
 from __future__ import annotations
@@ -97,12 +98,16 @@ def test_the_check_sees_a_dead_definition():
     assert [d for d in _definitions(source) if d not in _reads(source)] == ["Y", "dead", "gone"]
 
 
-def _project_sources() -> list[str]:
+def _project_paths() -> list[Path]:
     return [
-        path.read_text()
+        path
         for folder in ("src", "tests", "bench")
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
+
+
+def _project_sources() -> list[str]:
+    return [path.read_text() for path in _project_paths()]
 
 
 def test_every_definition_is_used():
@@ -309,3 +314,24 @@ def test_the_check_sees_an_oracle_import_of_checked_code():
 
 def test_the_oracle_imports_none_of_the_code_it_checks():
     assert _refereed_imports((PACKAGE / "oracle.py").read_text()) == []
+
+
+def _newer_grammar(source: str) -> Optional[str]:
+    """Where and why source fails to parse as Python 3.10, or None."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_the_check_sees_grammar_newer_than_3_10():
+    assert _newer_grammar("try:\n    pass\nexcept* ValueError:\n    pass\n") == (
+        "line 4: Exception groups are only supported in Python 3.11 and greater"
+    )
+    assert _newer_grammar("match x:\n    case [1, *rest]:\n        pass\n") is None
+
+
+def test_every_source_parses_as_python_3_10():
+    newer = {path.relative_to(ROOT): _newer_grammar(path.read_text()) for path in _project_paths()}
+    assert {str(path): why for path, why in newer.items() if why} == {}

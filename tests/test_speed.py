@@ -5,9 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from qmforge.counting import as_counting, brooks_sum, format_sum, phi, zero
+from qmforge.action import n_representative_sum
+from qmforge.cli import parse_expression
+from qmforge.counting import (
+    LengthStatus,
+    as_counting,
+    brooks_sum,
+    certified_reduced_length,
+    format_sum,
+    norm,
+    phi,
+    zero,
+)
 from qmforge.freegroup import A, Alphabet, Kind, NielsenGen, b_form, ball, inverse, parse_word
-from qmforge.relations import RelationKind, extension_relation, normal_form
+from qmforge.relations import RelationKind, eliminate_b_powers, extension_relation, normal_form
 from qmforge.speed import (
     BoundTag,
     _is_edge_column,
@@ -20,7 +31,7 @@ from qmforge.speed import (
     support_geometry,
 )
 
-from _corpus import random_brooks_sum
+from _corpus import corpus, random_brooks_sum
 from _optimized import run_optimized
 
 AL = Alphabet(2)
@@ -405,6 +416,68 @@ def test_empirical_speed_iterates_general_words():
 
     series = empirical_speed(phi(w("ab")), NielsenWord.parse("P1"), 2, AL)
     assert len(series.samples) == 2
+
+
+def _n_representative_lengths(f, n_max, alphabet):
+    """The gauge of T^-1 read off the explicit n-representatives, as
+    (length, tag) per n: the reference that act's iteration must match."""
+    base, _ = eliminate_b_powers(f, alphabet)
+    out = []
+    for n in range(1, n_max + 1):
+        rep = n_representative_sum(base, n, alphabet)
+        cert = certified_reduced_length(rep, alphabet)
+        if cert.status is LengthStatus.UNKNOWN:
+            out.append((norm(rep), BoundTag.UPPER))
+        else:
+            out.append((cert.value, BoundTag.EXACT))
+    return out
+
+
+@pytest.mark.parametrize("rank,sums,n_max", [(2, 40, 8), (3, 30, 6), (4, 20, 5)])
+def test_the_tinv_gauge_keeps_every_n_representative_certificate(rank, sums, n_max):
+    """On the corpus keys and seeded sums, iterating act certifies every
+    length the n-representative certifies, and no upper bound grows."""
+    al = Alphabet(rank)
+    rng = random.Random(100 + rank)
+    fs = [phi(v) for v in corpus(al)] + [random_brooks_sum(rng, al, 5, 5) for _ in range(sums)]
+    for f in (f for f in fs if f.weight):
+        reference = _n_representative_lengths(f, n_max, al)
+        series = empirical_speed(f, NielsenGen.TINV, n_max, al)
+        for (length, tag), sample in zip(reference, series.samples, strict=True):
+            if tag is BoundTag.EXACT:
+                assert (sample.length, sample.tag) == (length, tag), (format_sum(f), sample)
+            else:
+                assert sample.length <= length, (format_sum(f), sample)
+
+
+@pytest.mark.parametrize(
+    "rank,text,length",
+    [
+        (2, "5*phi(aa) + 3*phi(ab') - 3*phi(abb) + 3*phi(a'b'b')", 3),
+        (2, "2*phi(b) - 4*phi(ab) + phi(a'b')", 2),
+        (3, "-3*phi(a) - 5*phi(ab) + 4*phi(bc)", 2),
+    ],
+)
+def test_the_tinv_gauge_certifies_a_balanced_one_representative(rank, text, length):
+    """At n = 1 the n-representative is balanced (an upper bound only), while
+    act's one-step image is certifiably unbalanced at the same length."""
+    al = Alphabet(rank)
+    f = parse_expression(text, al)
+    assert _n_representative_lengths(f, 1, al) == [(length, BoundTag.UPPER)]
+    first = empirical_speed(f, NielsenGen.TINV, 1, al).samples[0]
+    assert (first.length, first.tag) == (length, BoundTag.EXACT)
+
+
+def test_the_tinv_gauge_is_charged_to_the_rewrite_budget(monkeypatch):
+    """Each step is an act, charged 8|v| + 8 letters per key: 24, 40 and 80
+    for phi(ab), so a budget of 79 admits two steps and refuses the third."""
+    from qmforge import relations
+
+    monkeypatch.setattr(relations, "REWRITE_LETTER_BUDGET", 79)
+    assert len(empirical_speed(phi(w("ab")), NielsenGen.TINV, 2, AL).samples) == 2
+    refusal = r"up to 80 letters, over the budget REWRITE_LETTER_BUDGET = 79$"
+    with pytest.raises(ValueError, match=refusal):
+        empirical_speed(phi(w("ab")), NielsenGen.TINV, 3, AL)
 
 
 # -- interaction with normal form -----------------------------------------------------
