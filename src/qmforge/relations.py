@@ -369,8 +369,18 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     Surviving targets are chosen by smallest boundary exponents, then
     (length, lex); the rewriting lemma does not dictate a choice, so
     determinism is fixed here.
+
+    A canonical normal form (canonical keys, nonzero Fraction weights) comes
+    back as given, with the empty trace: its only b-power key is b, and each
+    box family and column holds one key, its own survivor, so every pass
+    would re-emit it unchanged without a step.  Only dict order can differ
+    from the passes' output.  Weights are never mutated after construction,
+    so handing back f itself is safe.
     """
     check_sum(f, alphabet)
+    if all(type(c) is Fraction and c and is_canonical(v) for v, c in f.weight.items()):
+        if is_normal_form(f, alphabet)[0]:
+            return f, RewriteTrace(())
     rewriter = _Rewriter(alphabet, f.weight)
     _unwind_b_powers(rewriter)
     _merge_boxes(rewriter)

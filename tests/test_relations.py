@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 
+from qmforge.action import NielsenWord, act
 from qmforge.counting import (
     BrooksSum,
     Mode,
@@ -28,6 +29,7 @@ from qmforge.freegroup import (
     b_power,
     ball,
     inverse,
+    is_canonical,
     kind_of,
     parse_word,
     tau,
@@ -40,8 +42,10 @@ from qmforge.relations import (
     RewriteTrace,
     TraceStep,
     _attach,
+    _merge_boxes,
     _merge_columns,
     _Rewriter,
+    _unwind_b_powers,
     eliminate_b_powers,
     extension_relation,
     is_normal_form,
@@ -518,6 +522,69 @@ def test_zero_is_already_normal():
     assert nf.is_zero() and trace.steps == ()
     ok, _ = is_normal_form(zero(), AL)
     assert ok
+
+
+def _passes(f, alphabet):
+    """normal_form's three passes, run whatever the input."""
+    rewriter = _Rewriter(alphabet, f.weight)
+    _unwind_b_powers(rewriter)
+    _merge_boxes(rewriter)
+    _merge_columns(rewriter)
+    return rewriter.result()
+
+
+def _canonical_normal_form(f, alphabet):
+    """The input normal_form hands back as given."""
+    canonical = all(type(c) is Fraction and c and is_canonical(v) for v, c in f.weight.items())
+    return canonical and is_normal_form(f, alphabet)[0]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_normal_form_returns_what_its_passes_return(rank):
+    """On random sums, their normal forms and their images under six Nielsen
+    words, each also with keys turned at random and with int weights:
+    normal_form gives the passes' sum and trace, and that sum is a canonical
+    normal form.  Where the input is one, the passes give it back with no
+    step; normal_form is idempotent everywhere."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(61 + rank)
+    words = [NielsenWord.parse(t) for t in ("P1", "P2", "H", "Tinv", "P1*Tinv", "H*P2")]
+    inputs = fired = 0
+    for _ in range(30):
+        f = random_brooks_sum(rng, alphabet)
+        for g in (f, normal_form(f, alphabet)[0], *(act(x, f, alphabet) for x in words)):
+            turned = {rng.choice((v, inverse(v))): c for v, c in g.weight.items()}
+            whole = {v: int(c) for v, c in g.weight.items() if c.denominator == 1}
+            for h in (g, BrooksSum(turned, Mode.BROOKS), BrooksSum(whole, Mode.BROOKS)):
+                inputs += 1
+                passed, trace = _passes(h, alphabet)
+                got = normal_form(h, alphabet)
+                assert got == (passed, trace) and _canonical_normal_form(got[0], alphabet), h.weight
+                if _canonical_normal_form(h, alphabet):
+                    fired += 1
+                    assert passed == h and trace.steps == (), h.weight
+                again, trace = normal_form(passed, alphabet)
+                assert again == passed and trace.steps == (), h.weight
+    assert inputs / 3 <= fired < inputs, (fired, inputs)
+
+
+@pytest.mark.parametrize(
+    "weight, expected",
+    [
+        ({(1, 2): 1}, "phi(ab)"),
+        ({(1, 2): Fraction(0), (1,): Fraction(2)}, "2*phi(a)"),
+        ({(-2, -1): Fraction(1)}, "-phi(ab)"),
+    ],
+    ids=["int-weight", "zero-weight", "turned-key"],
+)
+def test_a_normal_form_given_in_another_shape_comes_back_canonical(weight, expected):
+    """Each input passes is_normal_form as given, yet normal_form rewrites it
+    as the passes do: Fraction weights, no zero, canonical keys."""
+    f = BrooksSum(weight, Mode.BROOKS)
+    assert is_normal_form(f, AL)[0]
+    nf, trace = normal_form(f, AL)
+    assert format_sum(nf) == expected and trace.steps == ()
+    assert _canonical_normal_form(nf, AL) and nf == _passes(f, AL)[0]
 
 
 def test_is_normal_form_flags_violations():
