@@ -12,7 +12,7 @@ is exact as a function identity, not merely up to bounded error, and the
 differential tests drive every row against a brute-force counter.
 
 act runs one pass per generator over one accumulator (a relations._Rewriter)
-seeded with f; brooks_sum builds support products and n-representatives.
+seeded with f, and n_representative_sum one pass over a counting.Accumulator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .counting import BrooksSum, brooks_sum, check_sum
+from .counting import Accumulator, BrooksSum, _check_key, brooks_sum, check_sum, phi
 from .freegroup import (
     A,
     B,
@@ -161,6 +161,7 @@ def _left_table(m0: int, s1: int) -> Rows:
 
 def w1_support(w: Word, alphabet: Alphabet) -> SupportProduct:
     """The signed one-step support of phi_w . T for a non-b-power key."""
+    _check_key(w)
     if tau(w) is None:
         raise ValueError("b-powers have no one-step table; eliminate them first")
     return _product(w, _middle_n(w, 1, alphabet), _left_table)
@@ -216,6 +217,7 @@ def left_factor_count(m0: int, s1: int, n: int, alphabet: Alphabet) -> int:
 
 def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
     """The support product of the n-representative of phi_w (w not a b-power)."""
+    _check_key(w)
     if tau(w) is None:
         raise ValueError("b-powers have no quadrant tables")
     if n < 1:
@@ -228,29 +230,23 @@ def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
 
 
 def n_representative(w: Word, n: int, alphabet: Alphabet) -> BrooksSum:
-    """The n-representative of phi_w; for w = b it is n phi_a + phi_b."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not w:
-        raise ValueError("no representative of the identity")
-    if tau(w) is None:
-        if len(w) != 1:
-            raise ValueError("eliminate b-powers before taking representatives")
-        sgn = 1 if w[0] > 0 else -1
-        return brooks_sum({(A,): sgn * n, (B,): sgn})
-    return nrep(w, n, alphabet).as_sum()
+    """The n-representative of phi_w, read off phi(w)'s canonical key: nrep(w^-1)
+    is nrep(w) inverted, i.e. its negative.  For w = b it is n phi_a + phi_b."""
+    return n_representative_sum(phi(w), n, alphabet)
 
 
 def n_representative_sum(f: BrooksSum, n: int, alphabet: Alphabet) -> BrooksSum:
-    """Key-by-key n-representative of a sum whose only b-power key is b."""
+    """Key-by-key n-representative of a sum whose only b-power key is b, as one
+    pass over an accumulator seeded with f; a longer b-power raises in nrep."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_sum(f, alphabet)
-    entries: dict[Word, Fraction] = {}
-    for v, c in f.weight.items():
-        for u, cu in n_representative(v, n, alphabet).weight.items():
-            entries[u] = entries.get(u, Fraction(0)) + c * cu
-    return brooks_sum(entries)
+    acc = Accumulator(f.weight)
+    for v, c in acc.take(lambda v: True).items():
+        image = {(A,): n, (B,): 1} if v == (B,) else nrep(v, n, alphabet).weight()
+        for u, cu in image.items():
+            acc.emit(u, c * cu)
+    return acc.as_sum()
 
 
 def n_representative_letters(f: BrooksSum, n: int, alphabet: Alphabet) -> int:

@@ -13,8 +13,8 @@ no identity key) together with a mode:
                lex)-smaller word; the entries, guarded by check_sum, take either.
 
 Brooks sums are built in an Accumulator (canonical keys, integer numerators
-over one denominator): brooks_sum seeds one with its entries, and relations'
-rewrites and action's act run passes over one; +, - and scale combine sums.
+over one denominator): brooks_sum seeds one, and rewrites, act and
+n-representatives run passes over one; +, - and scale combine sums.
 
 Everything is exact; no floats anywhere.
 """
@@ -130,7 +130,8 @@ def _denominator(coefficients: Iterable[Rational | int]) -> int:
 class Accumulator:
     """A Brooks weight under construction: canonical keys mapped to integer
     numerators over den, the lcm of the seed weights' denominators.  take and
-    emit pass numerators too; until as_sum() the weight may hold zeros."""
+    emit pass numerators too; until as_sum() the weight may hold zeros.  Keys
+    enter checked (by brooks_sum or check_sum) or built reduced: none is rechecked."""
 
     def __init__(self, weight: dict[Word, Rational | int]) -> None:
         self.den = _denominator(weight.values())
@@ -155,12 +156,11 @@ class Accumulator:
         self.weight[w] = self.weight.get(w, 0) + n
 
     def as_sum(self) -> BrooksSum:
-        """The weight as a Brooks sum: zeros dropped, every key checked."""
+        """The weight as a Brooks sum, zeros dropped; tests/test_contracts.py checks its keys."""
         fractions: dict[int, Fraction] = {}
         out: dict[Word, Fraction] = {}
         for v, n in self.weight.items():
             if n:
-                _check_key(v)
                 out[v] = fractions.get(n) or fractions.setdefault(n, Fraction(n, self.den))
         return BrooksSum(out, Mode.BROOKS)
 
@@ -170,7 +170,7 @@ def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
 
     Of each pair {v, v^-1} the (length, lex)-smaller word is kept; weights of
     re-oriented keys flip sign (phi(v^-1) = -phi(v)) and colliding entries
-    merge.  Every key is checked, those of weight 0 included.
+    merge.  Every key is checked once, here, those of weight 0 included.
     """
     for v in entries:
         _check_key(v)

@@ -272,8 +272,8 @@ class _Rewriter(Accumulator):
         self, side: RelationKind, core: Word, members: Iterable[tuple[int, int]], m_to: int
     ) -> int:
         """Walk the keys c·phi(core b^m) (RIGHT) or c·phi(b^m core) (LEFT),
-        one per member (m, c), to exponent m_to; return the target's
-        coefficient, which is not emitted.
+        one per member (m, c), to exponent m_to, all nonzero in every caller;
+        return the target's coefficient, which is not emitted.
 
         Each side of m_to is walked once, from its most extreme exponent
         inwards, and a member joins the carrier when the walk reaches its
@@ -281,12 +281,8 @@ class _Rewriter(Accumulator):
         to those of the one-member walks; ranges where the carrier is zero
         are skipped, so no step has coefficient 0.
         """
-        if m_to == 0:
-            raise ValueError("exponents must be nonzero")
         at: dict[int, int] = {}
         for m, c in members:
-            if m == 0:
-                raise ValueError("exponents must be nonzero")
             at[m] = at.get(m, 0) + c
         total = at.pop(m_to, 0)
         for above in (True, False):

@@ -26,12 +26,13 @@ from qmforge.freegroup import (
     NielsenGen,
     apply_nielsen,
     ball,
+    inverse,
     multiply,
     parse_word,
     tau,
 )
 
-from _corpus import corpus, random_reduced_word
+from _corpus import corpus, random_brooks_sum, random_reduced_word
 from _optimized import run_optimized
 
 AL = Alphabet(2)
@@ -236,6 +237,91 @@ def test_n_representatives_of_b_refuse_n_below_1_under_python_O():
     proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["n must be >= 1"] * 24
+
+
+def _reference_n_representative_sum(f, n, alphabet):
+    """n_representative_sum built key by key: each key's representative as its
+    own sum (b^+-1's closed form, or nrep(v, n).as_sum() with v as given),
+    merged in Fractions, then brooks_sum."""
+    entries = {}
+    for v, c in f.weight.items():
+        if tau(v) is None:
+            if len(v) != 1:
+                raise ValueError("eliminate b-powers before taking representatives")
+            sgn = 1 if v[0] > 0 else -1
+            rep = brooks_sum({(A,): sgn * n, (B,): sgn})
+        else:
+            rep = nrep(v, n, alphabet).as_sum()
+        for u, cu in rep.weight.items():
+            entries[u] = entries.get(u, Fraction(0)) + c * cu
+    return brooks_sum(entries)
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 4), (3, 3), (4, 2)])
+def test_n_representative_sum_matches_the_key_by_key_construction(rank, radius):
+    """Every ball word in both orientations (the ball holds both), and random
+    sums with b-powers eliminated, as given and with every key turned."""
+    import random
+
+    from qmforge.relations import eliminate_b_powers
+
+    alphabet = Alphabet(rank)
+    for n in (1, 2, 3):
+        for v in ball(alphabet, radius):
+            if not v:
+                continue
+            if tau(v) is None and len(v) > 1:
+                with pytest.raises(ValueError):
+                    n_representative(v, n, alphabet)
+                continue
+            key = BrooksSum({v: Fraction(1)}, Mode.BROOKS)
+            want = _reference_n_representative_sum(key, n, alphabet)
+            assert n_representative(v, n, alphabet) == want, (v, n)
+        rng = random.Random(1919 + rank)
+        for _ in range(40):
+            g = eliminate_b_powers(random_brooks_sum(rng, alphabet), alphabet)[0]
+            turned = BrooksSum({inverse(v): -c for v, c in g.weight.items()}, Mode.BROOKS)
+            for f in (g, turned):
+                want = _reference_n_representative_sum(f, n, alphabet)
+                assert n_representative_sum(f, n, alphabet) == want, (f.weight, n)
+
+
+def test_n_representative_refusals_name_the_check_that_fires():
+    """The identity is refused by the key check, a longer b-power by nrep,
+    and a b^2 key of weight 0 is read as absent."""
+    with pytest.raises(ValueError, match="^the identity cannot carry weight$"):
+        n_representative((), 2, AL)
+    with pytest.raises(ValueError, match="^b-powers have no quadrant tables$"):
+        n_representative(w("bb"), 2, AL)
+    with pytest.raises(ValueError, match="^b-powers have no quadrant tables$"):
+        n_representative_sum(phi(w("bb")), 2, AL)
+    with_zero = BrooksSum({w("bb"): Fraction(0), w("ba"): Fraction(3)}, Mode.BROOKS)
+    without = phi(w("ba")).scale(3)
+    assert n_representative_sum(with_zero, 2, AL) == n_representative_sum(without, 2, AL)
+
+
+def test_every_word_entry_refuses_an_unreduced_word_under_python_O():
+    """nrep and w1_support check their word before anything reads it, so
+    those built on them refuse an unreduced word too, with asserts stripped."""
+    script = (
+        "from qmforge.action import n_representative, nrep, w1_support, wstar_n\n"
+        "from qmforge.freegroup import Alphabet\n"
+        "from qmforge.speed import support_geometry\n"
+        "for rank in (2, 3, 4):\n"
+        "    al = Alphabet(rank)\n"
+        "    for word in ((1, -1, 2), (1, 2, -2, 1)):\n"
+        "        for call in (lambda: nrep(word, 2, al), lambda: w1_support(word, al),\n"
+        "                     lambda: wstar_n(word, 2, al), lambda: support_geometry(word, 2, al),\n"
+        "                     lambda: n_representative(word, 2, al)):\n"
+        "            try:\n"
+        "                print('admitted', call())\n"
+        "            except ValueError as exc:\n"
+        "                print(exc)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    want = ["key (1, -1, 2) is not reduced"] * 5 + ["key (1, 2, -2, 1) is not reduced"] * 5
+    assert proc.stdout.splitlines() == want * 3
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

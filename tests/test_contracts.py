@@ -4,17 +4,19 @@ accepts either orientation of a key, since phi(v^-1) = -phi(v)."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from qmforge.action import NielsenWord, act, n_representative_sum
-from qmforge.counting import BrooksSum, Mode, counting_sum, phi
+from qmforge.counting import BrooksSum, Mode, brooks_sum, counting_sum, phi
 from qmforge.fixpoints import exclude_fixpoint
-from qmforge.freegroup import A, B, Alphabet, NielsenGen
+from qmforge.freegroup import A, B, Alphabet, NielsenGen, inverse, is_canonical, is_reduced
 from qmforge.relations import eliminate_b_powers, normal_form
 from qmforge.speed import empirical_speed, speed
 
+from _corpus import random_brooks_sum, random_reduced_word
 from _optimized import run_optimized
 
 RANKS = (2, 3, 4)
@@ -85,3 +87,60 @@ def test_a_turned_b_power_key_is_the_class_of_its_canonical_twin(rank):
     assert nf == normal_form(canonical, alphabet)[0]
     assert trace.certifies(turned, nf, alphabet)
     assert act(NielsenGen.TINV, turned, alphabet) == act(NielsenGen.TINV, canonical, alphabet)
+
+
+def _turn_some(rng, f):
+    """f with about half its keys given as their inverse, a hand-built sum of the same class."""
+    pairs = ((inverse(v), -c) if rng.random() < 0.5 else (v, c) for v, c in f.weight.items())
+    return BrooksSum(dict(pairs), Mode.BROOKS)
+
+
+def _contract_breaches(g, alphabet):
+    """Every way g breaks the contract of a sum the library builds: Brooks
+    mode, keys nonempty, reduced, canonical and in the alphabet, weights
+    nonzero Fractions."""
+    if g.mode is not Mode.BROOKS:
+        return ["counting mode"]
+    breaches = []
+    for v, c in g.weight.items():
+        if not (v and is_reduced(v) and is_canonical(v)):
+            breaches.append(f"key {v} is empty, unreduced or turned")
+        elif not all(1 <= abs(x) <= alphabet.rank for x in v):
+            breaches.append(f"key {v} leaves the alphabet")
+        if type(c) is not Fraction or c == 0:
+            breaches.append(f"weight {c!r} of {v}")
+    return breaches
+
+
+NIELSEN_WORDS = [NielsenWord.parse(text) for text in ("P1", "P2", "H", "Tinv", "T", "P1*Tinv*H")]
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_every_sum_the_library_builds_keeps_the_key_contract(rank):
+    """Accumulator.as_sum checks no key: each was checked where it entered,
+    or built reduced.  This holds every built sum to the contract, on random
+    sums with some keys turned: brooks_sum over raw entries (one of weight 0),
+    normal_form, eliminate_b_powers, act, n_representative_sum and speed."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(1900 + rank)
+    for _ in range(60):
+        f = _turn_some(rng, random_brooks_sum(rng, alphabet))
+        extra = random_reduced_word(rng, alphabet, rng.randint(1, 4))
+        built = {"brooks_sum": brooks_sum({**f.weight, extra: f.weight.get(extra, 0)})}
+        built["normal_form"] = normal_form(f, alphabet)[0]
+        eliminated = built["eliminate_b_powers"] = eliminate_b_powers(f, alphabet)[0]
+        for x in NIELSEN_WORDS:
+            built[f"act {x.gens}"] = act(x, f, alphabet)
+        for n in (1, 2, 3):
+            rep = n_representative_sum(_turn_some(rng, eliminated), n, alphabet)
+            built[f"n_representative_sum n={n}"] = rep
+        built["speed residue"] = speed(f, alphabet).residue
+        for name, g in built.items():
+            assert _contract_breaches(g, alphabet) == [], (name, f.weight)
+
+
+def test_the_key_contract_check_sees_each_breach():
+    al = Alphabet(2)
+    assert _contract_breaches(counting_sum({(A,): 1}), al) == ["counting mode"]
+    bad = {(A, -A, B): Fraction(1), (-B, -A): Fraction(1), (A, 3): Fraction(1), (A, B): 1}
+    assert len(_contract_breaches(BrooksSum(bad, Mode.BROOKS), al)) == 4
