@@ -40,7 +40,6 @@ from .freegroup import (
     apply_nielsen,
     ball,
     ball_size,
-    check_radius,
     parse_word,
     word_str,
 )
@@ -437,10 +436,8 @@ VERIFY_WORD_BUDGET = 25_000
 def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> _Result:
     names = list(_SUITES) if ns.suite == "all" else [ns.suite]
     radii = {name: _SUITES[name][0] for name in names}
-    cap = getattr(ns, "radius", None)
-    if cap is not None:
-        check_radius(cap)
-        radii = {name: min(r, cap) for name, r in radii.items()}
+    if ns.radius is not None:
+        radii = {name: min(r, ns.radius) for name, r in radii.items()}
     reach = max(radii.values())
     words = ball_size(alphabet.rank, reach)
     if words > VERIFY_WORD_BUDGET:
@@ -468,8 +465,9 @@ def _cmd_verify(ns: argparse.Namespace, alphabet: Alphabet) -> _Result:
 # Argument plumbing
 
 
-# Each subcommand: its function, its help and the names of its positionals.
-# The positionals named in _READERS reach the function parsed, in that order.
+# Each subcommand: its function, its help and the names of its arguments,
+# positionals and --options.  The positionals named in _READERS reach the
+# function parsed, in that order.
 _COMMANDS: dict[str, tuple[Callable[..., _Result], str, tuple[str, ...]]] = {
     "eval": (_cmd_eval, "evaluate an expression on a word", ("expr", "word")),
     "norm": (_cmd_norm, "word-length norm of an expression", ("expr",)),
@@ -479,7 +477,7 @@ _COMMANDS: dict[str, tuple[Callable[..., _Result], str, tuple[str, ...]]] = {
     "speed": (_cmd_speed, "speed of T^-1 on the class", ("expr",)),
     "act": (_cmd_act, "apply a Nielsen word (e.g. 'P1*H*Tinv')", ("xword", "expr")),
     "exclude-fixpoint": (_cmd_exclude, "a Nielsen word moving the class, with evidence", ("expr",)),
-    "verify": (_cmd_verify, "run the oracle verification suites", ("suite",)),
+    "verify": (_cmd_verify, "run the oracle verification suites", ("suite", "--radius")),
     "ball": (_cmd_ball, "number of reduced words of length <= L", ("radius_arg",)),
 }
 
@@ -508,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank", type=int, default=argparse.SUPPRESS,
                         help="rank of the free group (default 2, or QMFORGE_RANK)")
-    common.add_argument("--radius", type=int, default=argparse.SUPPRESS,
-                        help="cap on oracle ball radii")
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS,
                         help="output format (default text)")
 
@@ -523,10 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
         "n": {"type": int},
         "suite": {"nargs": "?", "choices": sorted(_SUITES) + ["all"], "default": "all"},
         "radius_arg": {"metavar": "L", "type": int},
+        "--radius": {"type": int, "help": "cap on oracle ball radii"},
     }
-    for name, (_, help_text, positionals) in _COMMANDS.items():
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for arg in positionals:
+        for arg in arguments:
             p.add_argument(arg, **options.get(arg, {}))
     return parser
 

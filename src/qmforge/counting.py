@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Optional
 from .freegroup import (
     Alphabet,
     Word,
+    _LETTER_NAMES,
     inverse,
     is_canonical,
     is_reduced,
@@ -104,6 +105,10 @@ def _check_key(v: Word) -> None:
         raise ValueError(f"key {v!r} is not reduced")
 
 
+# brooks_sum and counting_sum take no alphabet: their keys are spelled in this one.
+_NAMED = Alphabet(len(_LETTER_NAMES))
+
+
 def check_sum(f: BrooksSum, alphabet: Alphabet) -> None:
     """The contract of every entry that takes a Brooks sum: raise ValueError
     unless f is in Brooks mode and every key is nonempty, reduced and spelled
@@ -118,6 +123,7 @@ def check_sum(f: BrooksSum, alphabet: Alphabet) -> None:
 def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     for v in entries:
         _check_key(v)
+        _NAMED.check_word(v)
     weight = {v: Fraction(c) for v, c in entries.items()}
     return BrooksSum({v: c for v, c in weight.items() if c != 0}, Mode.COUNTING)
 
@@ -170,10 +176,12 @@ def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
 
     Of each pair {v, v^-1} the (length, lex)-smaller word is kept; weights of
     re-oriented keys flip sign (phi(v^-1) = -phi(v)) and colliding entries
-    merge.  Every key is checked once, here, those of weight 0 included.
+    merge.  Every key is checked once, here, those of weight 0 included, and
+    against the 26 named letters, since no alphabet is given.
     """
     for v in entries:
         _check_key(v)
+        _NAMED.check_word(v)
     return Accumulator(entries).as_sum()
 
 

@@ -150,8 +150,6 @@ def exclude_fixpoint(
         # one onto b and rerun the dispatch on the image.
         w0 = min(long_keys, key=word_sort_key)
         j = (B - abs(long_keys[w0][0])) % alphabet.rank
-        if j < 1:
-            raise ValueError("the leading skeleton letter is already b")
         shift = NielsenWord((NielsenGen.P2,) * j)
         inner = exclude_fixpoint(act(shift, f, alphabet), alphabet, _depth + 1)
         return replace(inner, X=NielsenWord(shift.gens + inner.X.gens))
@@ -164,8 +162,6 @@ def exclude_fixpoint(
         if not nonzero:
             raise ValueError("nonzero normal form with an empty coefficient vector")
         j = min((B - i) % alphabet.rank for i in nonzero)
-        if j < 1:
-            raise ValueError("the coefficient vector is already on b")
         x = NielsenWord((NielsenGen.P2,) * j + (NielsenGen.TINV,))
     wit = _witness(x, EvidenceKind.HOM_COEFFICIENT_CHANGE, f, alphabet)
     return _checked(wit, "T^-1 left the coefficient vector unchanged")

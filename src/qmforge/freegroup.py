@@ -299,11 +299,6 @@ def tau(w: Word) -> Optional[Word]:
     return w[lo:hi]
 
 
-def is_truncated(w: Word) -> bool:
-    """True when w carries no b-power on either end (and survives tau)."""
-    return tau(w) == w
-
-
 # ---------------------------------------------------------------------------
 # Nielsen transformations at the word level
 

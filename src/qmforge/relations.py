@@ -1,4 +1,4 @@
-"""Extension-relation rewriting: traces, retargeting, and normal forms.
+"""Extension-relation rewriting: traces and normal forms.
 
 The kernel of the passage from counting sums to bounded-distance classes is
 spanned by the left/right extension relations
@@ -41,7 +41,6 @@ from .counting import (
     Accumulator,
     BrooksSum,
     Mode,
-    _check_key,
     _denominator,
     check_sum,
     counting_sum,
@@ -56,7 +55,6 @@ from .freegroup import (
     inverse,
     is_canonical,
     is_reduced,
-    is_truncated,
     kind_of,
     tau,
     word_sort_key,
@@ -294,35 +292,6 @@ class _Rewriter(Accumulator):
                     carrier = self._walk(side, core, m, stop, carrier)
             total += carrier
         return total
-
-
-def retarget_power(
-    side: RelationKind,
-    x: Word,
-    m_fixed: int,
-    m_from: int,
-    m_to: int,
-    alphabet: Alphabet,
-) -> tuple[BrooksSum, RewriteTrace]:
-    """Move one b-exponent of a key to a new nonzero value.
-
-    For RIGHT the input key is b^{m_fixed} x b^{m_from} and the result is
-    +-phi(b^{m_fixed} x b^{m_to}) plus words b^{m_fixed}·(block ending in a
-    non-b letter); LEFT is the mirror image.  Each step consumes a relation
-    pair led by the walked side's kind.  The target carries coefficient -1
-    exactly when the walk crosses zero.
-    """
-    if not x or not is_truncated(x):
-        raise ValueError("x must be a nonempty b-truncated word")
-    _check_key(x)
-    alphabet.check_word(x)
-    if m_from == 0 or m_to == 0:
-        raise ValueError("retargeted exponents must be nonzero")
-    rewriter = _Rewriter(alphabet, {})
-    core = _attach(side, b_power(m_fixed), x)
-    target = _attach(side, core, b_power(m_to))
-    rewriter.emit(target, rewriter.sweep(side, core, [(m_from, 1)], m_to))
-    return rewriter.result()
 
 
 def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTrace]:

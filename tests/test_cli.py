@@ -340,6 +340,19 @@ def test_verify_rot_honours_radius_zero(capsys):
     assert json.loads(out)["suites"][0]["detail"].endswith("on radii [0]")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["speed", "--radius", "3", "phi(ab)"], ["--radius", "4", "verify", "rot"], ["ball", "3", "--radius", "3"]],
+    ids=["speed", "before-verify", "ball"],
+)
+def test_radius_is_an_option_of_verify_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "verify", "rot", "--radius", "4")
+    assert (code, out) == (0, "rot: PASS - sup constant (1) on radii [4]\n")
+
+
 def test_verify_json_shape(capsys):
     code, out, _ = run(capsys, "verify", "norm", "--format", "json")
     assert code == 0

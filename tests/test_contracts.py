@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qmforge.action import NielsenWord, act, n_representative_sum
-from qmforge.counting import BrooksSum, Mode, brooks_sum, counting_sum, phi
+from qmforge.counting import BrooksSum, Mode, brooks_sum, count_term, counting_sum, phi
 from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import A, B, Alphabet, NielsenGen, inverse, is_canonical, is_reduced
 from qmforge.relations import eliminate_b_powers, normal_form
@@ -144,3 +144,35 @@ def test_the_key_contract_check_sees_each_breach():
     assert _contract_breaches(counting_sum({(A,): 1}), al) == ["counting mode"]
     bad = {(A, -A, B): Fraction(1), (-B, -A): Fraction(1), (A, 3): Fraction(1), (A, B): 1}
     assert len(_contract_breaches(BrooksSum(bad, Mode.BROOKS), al)) == 4
+
+
+# The entries that take no alphabet check each key against the 26 named letters.
+UNNAMED_LETTER_REFUSALS = {
+    "phi((1, 0, 2))": "letter 0 is not in the alphabet of rank 26",
+    "counting_sum({(0,): 1})": "letter 0 is not in the alphabet of rank 26",
+    "phi((27,))": "letter 27 is not in the alphabet of rank 26",
+    "phi((0,))": "letter 0 is not in the alphabet of rank 26",
+    "brooks_sum({(1, 2): 1, (-27, 1): 0})": "letter -27 is not in the alphabet of rank 26",
+    "count_term((26, 0))": "letter 0 is not in the alphabet of rank 26",
+}
+
+
+def test_the_entries_without_an_alphabet_refuse_an_unnamed_letter_also_under_python_O():
+    """Before, phi((1, 0, 2)) and counting_sum({(0,): 1}) built sums whose
+    str() raised KeyError, phi((27,)) raised KeyError and phi((0,)) called
+    its key its own inverse."""
+    script = (
+        "from qmforge.counting import brooks_sum, count_term, counting_sum, phi\n"
+        f"for call in {list(UNNAMED_LETTER_REFUSALS)!r}:\n"
+        "    try:\n"
+        "        print(call, eval(call))\n"
+        "    except ValueError as exc:\n"
+        "        print(call + ': ' + str(exc))\n"
+    )
+    expected = "\n".join(f"{call}: {message}" for call, message in UNNAMED_LETTER_REFUSALS.items())
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+    for call, message in UNNAMED_LETTER_REFUSALS.items():
+        with pytest.raises(ValueError, match=message):
+            eval(call)

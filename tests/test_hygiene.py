@@ -17,7 +17,8 @@ type (``x is not None``, possibly several joined by ``and``), because a
 check that must hold under ``-O`` raises instead.  ``oracle.py`` may import neither the
 fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``) nor any
 module of the algebra it checks (``relations``, ``action``, ``speed``,
-``fixpoints``).  Every source parses under the Python 3.10 grammar, the
+``fixpoints``).  The package ``__init__`` lists in ``__all__`` each name it
+imports, once, and no other.  Every source parses under the Python 3.10 grammar, the
 oldest that CI runs; that checks syntax only, not stdlib names new in 3.11.
 """
 
@@ -314,6 +315,42 @@ def test_the_check_sees_an_oracle_import_of_checked_code():
 
 def test_the_oracle_imports_none_of_the_code_it_checks():
     assert _refereed_imports((PACKAGE / "oracle.py").read_text()) == []
+
+
+def _export_mismatch(source: str) -> dict[str, list[str]]:
+    """Where a package __init__'s imports and its __all__ disagree: names
+    imported but not listed, listed but not imported, and listed twice."""
+    imported: set[str] = set()
+    listed: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            listed = ast.literal_eval(node.value)
+    found = {
+        "not listed": sorted(imported - set(listed)),
+        "not imported": sorted(set(listed) - imported),
+        "listed twice": sorted({name for name in listed if listed.count(name) > 1}),
+    }
+    return {why: names for why, names in found.items() if names}
+
+
+def test_the_check_sees_an_export_mismatch():
+    source = (
+        "from __future__ import annotations\n"
+        "from .action import act, nrep\nfrom .counting import phi as p\n"
+        "__version__ = '0'\n"
+        "__all__ = ['act', 'p', 'speed', 'p']\n"
+    )
+    assert _export_mismatch(source) == {
+        "not listed": ["nrep"],
+        "not imported": ["speed"],
+        "listed twice": ["p"],
+    }
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    assert _export_mismatch((PACKAGE / "__init__.py").read_text()) == {}
 
 
 def _newer_grammar(source: str) -> Optional[str]:

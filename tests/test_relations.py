@@ -50,7 +50,6 @@ from qmforge.relations import (
     extension_relation,
     is_normal_form,
     normal_form,
-    retarget_power,
 )
 from qmforge.speed import speed
 
@@ -85,15 +84,25 @@ def test_extension_relation_rejects_identity():
 # -- exponent retargeting --------------------------------------------------------
 
 
+def _retarget(side, x, m_fixed, m_from, m_to, alphabet):
+    """phi(b^m_fixed x b^m_from) (RIGHT) or phi(b^m_from x b^m_fixed) (LEFT),
+    its walked exponent moved to m_to by one sweep."""
+    rewriter, members = _rewriter_for(alphabet, [(m_from, Fraction(1))])
+    core = _attach(side, b_power(m_fixed), x)
+    target = _attach(side, core, b_power(m_to))
+    rewriter.emit(target, rewriter.sweep(side, core, members, m_to))
+    return rewriter.result()
+
+
 def test_retarget_right_single_step_down():
     """phi(ab^2) rewrites to phi(ab) plus short truncated corrections."""
-    moved, trace = retarget_power(RelationKind.RIGHT, w("a"), 0, 2, 1, AL)
+    moved, trace = _retarget(RelationKind.RIGHT, w("a"), 0, 2, 1, AL)
     assert moved.coefficient(w("ab")) == 1
     assert trace.certifies(phi(w("abb")), moved, AL)
 
 
 def test_retarget_crossing_zero_flips_sign():
-    moved, trace = retarget_power(RelationKind.RIGHT, w("a"), 0, 1, -1, AL)
+    moved, trace = _retarget(RelationKind.RIGHT, w("a"), 0, 1, -1, AL)
     assert moved.coefficient(w("ab'")) == -1
     assert trace.certifies(phi(w("ab")), moved, AL)
 
@@ -116,8 +125,8 @@ def test_retarget_left_mirrors_right():
     other = {RelationKind.LEFT: RelationKind.RIGHT, RelationKind.RIGHT: RelationKind.LEFT}
     for alphabet, x, m_fixed, m_from, m_to in _mirror_cases():
         case = (alphabet.rank, x, m_fixed, m_from, m_to)
-        moved_r, trace_r = retarget_power(RelationKind.RIGHT, x, m_fixed, m_from, m_to, alphabet)
-        moved_l, trace_l = retarget_power(
+        moved_r, trace_r = _retarget(RelationKind.RIGHT, x, m_fixed, m_from, m_to, alphabet)
+        moved_l, trace_l = _retarget(
             RelationKind.LEFT, inverse(x), -m_fixed, -m_from, -m_to, alphabet
         )
         assert moved_l == moved_r.scale(-1), case
@@ -128,22 +137,7 @@ def test_retarget_left_mirrors_right():
         assert trace_l.certifies(phi(inverse(key)), moved_l, alphabet), case
 
 
-def test_retarget_rejects_bad_input():
-    with pytest.raises(ValueError):
-        retarget_power(RelationKind.RIGHT, w("b"), 0, 1, 2, AL)  # x not truncated
-    with pytest.raises(ValueError):
-        retarget_power(RelationKind.RIGHT, w("a"), 0, 0, 2, AL)  # zero exponent
-
-
 ENTRY_REFUSALS = "\n".join(
-    f"retarget_power(RelationKind.RIGHT, {x!r}, 0, 1, 2, Alphabet({rank})): {message}"
-    for rank in (2, 3, 4)
-    for x, message in (
-        ((rank + 1,), f"letter {rank + 1} is not in the alphabet of rank {rank}"),
-        ((A, 0), f"letter 0 is not in the alphabet of rank {rank}"),
-        ((A, -A), "key (1, -1) is not reduced"),
-    )
-) + "\n" + "\n".join(
     f"extension_relation({kind}, {v!r}, Alphabet({rank})): "
     f"letter {v[-1]} is not in the alphabet of rank {rank}"
     for rank in (2, 3, 4)
@@ -152,13 +146,12 @@ ENTRY_REFUSALS = "\n".join(
 )
 
 
-def test_retarget_power_and_extension_relation_check_their_word_under_python_O():
-    """x and w are checked where they enter, at ranks 2-4, also with asserts
-    stripped: a letter outside the alphabet, and an unreduced x named as
-    itself rather than as the key built from it."""
+def test_extension_relation_checks_its_word_under_python_O():
+    """w is checked where it enters, at ranks 2-4, also with asserts
+    stripped: a letter outside the alphabet is named as itself."""
     script = (
         "from qmforge.freegroup import Alphabet\n"
-        "from qmforge.relations import RelationKind, extension_relation, retarget_power\n"
+        "from qmforge.relations import RelationKind, extension_relation\n"
         f"for call in {ENTRY_REFUSALS.splitlines()!r}:\n"
         "    try:\n"
         "        eval(call.split(': ')[0])\n"
