@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 from .freegroup import (
     Alphabet,
     Word,
-    _LETTER_NAMES,
+    _NAMED,
     inverse,
     is_canonical,
     is_reduced,
@@ -103,10 +103,6 @@ def _check_key(v: Word) -> None:
         raise ValueError("the identity cannot carry weight")
     if not is_reduced(v):
         raise ValueError(f"key {v!r} is not reduced")
-
-
-# brooks_sum and counting_sum take no alphabet: their keys are spelled in this one.
-_NAMED = Alphabet(len(_LETTER_NAMES))
 
 
 def check_sum(f: BrooksSum, alphabet: Alphabet) -> None:

@@ -58,6 +58,11 @@ class Alphabet:
                 raise ValueError(f"letter {x} is not in the alphabet of rank {self.rank}")
 
 
+# The 26 named letters: word_str, brooks_sum and counting_sum take no
+# alphabet, so their words are spelled in this one.
+_NAMED = Alphabet(len(_LETTER_NAMES))
+
+
 A = 1
 B = 2
 
@@ -154,9 +159,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 
 def word_str(w: Word) -> str:
-    """Canonical print form; inverses use the apostrophe (`aba'`)."""
+    """Canonical print form; inverses use the apostrophe (`aba'`).  A letter
+    outside the 26 named ones raises ValueError."""
     if not w:
         return "e"
+    _NAMED.check_word(w)
     return "".join(_LETTER_NAMES[abs(x) - 1] + ("" if x > 0 else "'") for x in w)
 
 

@@ -20,11 +20,11 @@ trailing exponent, LEFT for the leading one) is also the kind that leads
 each relation pair it consumes.  The keys of one column (one core, many
 exponents) share one walk, so phi(b^m) costs O(m) steps, not O(m^2).
 A rewrite is a sequence of passes over one accumulator, a _Rewriter seeded
-with the input's weight: each pass takes the keys it rewrites out of it and
-walks them, adding targets and debris back in place.  _Rewriter is
-counting.Accumulator (canonical keys, integer numerators over one
-denominator; walks only add and negate coefficients) plus the trace and the
-walks, so the result is the accumulator's sum and the trace.
+with the input's weight: each pass takes out only the keys it rewrites and
+walks them, adding targets and debris back; every other key stays in place.
+_Rewriter is counting.Accumulator (canonical keys, integer numerators over
+one denominator; walks only add and negate coefficients) plus the trace and
+the walks, so the result is the accumulator's sum and the trace.
 The check is one pass over the trace into a single integer accumulator,
 every coefficient scaled by the lcm of all denominators involved: it costs
 O(steps x 2 rank) integer operations and stays an exact zero test.
@@ -191,6 +191,18 @@ class _Rewriter(Accumulator):
                 f"REWRITE_LETTER_BUDGET = {REWRITE_LETTER_BUDGET}"
             )
 
+    def group(self, label: Callable[[Word], Optional[Word]]) -> dict[Word, list[tuple[Word, int]]]:
+        """The keys of nonzero weight that label files under a group, as
+        (key, numerator), by group and in key order.  Unlike take, this leaves
+        every key in place: a pass removes only the keys it rewrites."""
+        groups: dict[Word, list[tuple[Word, int]]] = {}
+        for v, n in self.weight.items():
+            if n:
+                g = label(v)
+                if g is not None:
+                    groups.setdefault(g, []).append((v, n))
+        return groups
+
     def result(self) -> tuple[BrooksSum, RewriteTrace]:
         """The weight as a Brooks sum, zeros dropped, and the trace."""
         return self.as_sum(), RewriteTrace(tuple(self.steps))
@@ -309,10 +321,12 @@ def eliminate_b_powers(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, Rew
 
 
 def _unwind_b_powers(rewriter: _Rewriter) -> None:
-    """The pass of eliminate_b_powers: take the b-power keys, walk them to b."""
-    powers = rewriter.take(lambda v: tau(v) is None)
-    members = [(len(v), n) for v, n in powers.items()]  # canonical: v = b^len(v)
-    rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
+    """The pass of eliminate_b_powers: take the b-power keys other than b,
+    walk them to b.  b itself stays where it is."""
+    powers = rewriter.take(lambda v: v[0] == B and len(v) > 1 and tau(v) is None)
+    if powers:
+        members = [(len(v), n) for v, n in powers.items()]  # canonical: v = b^len(v)
+        rewriter.emit((B,), rewriter.sweep(RelationKind.RIGHT, (), members, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +342,10 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     up to inversion, left exponent first (debris: b-left, right-b,
     b-truncated); (3) merge b-left/right-b keys presenting the same column —
     a right-b key y b^q is the column key b^{-q} y^{-1} in disguise (debris:
-    b-truncated only).  Each pass takes its keys out of the accumulator and
-    adds its targets and debris back; every key enters the accumulator in
+    b-truncated only).  Each pass takes out of the accumulator only the keys
+    it rewrites, leaving b, each box family of one key and each column of one
+    key at its survivor in place, and adds its targets and debris back; every
+    key enters the accumulator in
     canonical orientation, so the b-truncated inverse condition is vacuous.
     Surviving targets are chosen by smallest boundary exponents, then
     (length, lex); the rewriting lemma does not dictate a choice, so
@@ -338,9 +354,8 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     A canonical normal form (canonical keys, nonzero Fraction weights) comes
     back as given, with the empty trace: its only b-power key is b, and each
     box family and column holds one key, its own survivor, so every pass
-    would re-emit it unchanged without a step.  Only dict order can differ
-    from the passes' output.  Weights are never mutated after construction,
-    so handing back f itself is safe.
+    would leave it in place without a step.  Weights are never mutated
+    after construction, so handing back f itself is safe.
     """
     check_sum(f, alphabet)
     if all(type(c) is Fraction and c and is_canonical(v) for v, c in f.weight.items()):
@@ -359,16 +374,18 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
 
 
 def _merge_boxes(rewriter: _Rewriter) -> None:
-    """Collapse each b-and-b skeleton class (up to inversion) to one key."""
-    families: dict[Word, list[tuple[int, int, int]]] = {}
-    for v, n in rewriter.take(lambda v: kind_of(v) is Kind.B_AND_B).items():
-        t = tau(v)
-        assert t is not None
-        if not is_canonical(t):
-            t, v, n = inverse(t), inverse(v), -n
-        form = b_form(v)
-        families.setdefault(t, []).append((form.m0, form.mk, n))
-    for skel, members in sorted(families.items(), key=lambda kv: word_sort_key(kv[0])):
+    """Collapse each b-and-b skeleton class (up to inversion) to one key.  A
+    class of one key is its own survivor and stays where it is."""
+    families = rewriter.group(_box_skeleton)
+    walked = [kv for kv in families.items() if len(kv[1]) > 1]
+    for skel, keys in sorted(walked, key=lambda kv: word_sort_key(kv[0])):
+        members = []
+        for v, n in keys:
+            del rewriter.weight[v]
+            if tau(v) != skel:
+                v, n = inverse(v), -n
+            form = b_form(v)
+            members.append((form.m0, form.mk, n))
         p_t, q_t, _ = min(
             members,
             key=lambda pqc: (
@@ -389,6 +406,17 @@ def _merge_boxes(rewriter: _Rewriter) -> None:
         rewriter.emit(core + b_power(q_t), rewriter.sweep(RelationKind.RIGHT, core, rights, q_t))
 
 
+def _box_skeleton(v: Word) -> Optional[Word]:
+    """The skeleton of a b-and-b key, in its canonical orientation; None for
+    a key of any other kind."""
+    if abs(v[0]) != B or abs(v[-1]) != B:
+        return None
+    t = tau(v)
+    if t is None:  # a b-power
+        return None
+    return t if is_canonical(t) else inverse(t)
+
+
 def _is_column(v: Word) -> bool:
     return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B)
 
@@ -403,8 +431,9 @@ def _merge_columns(
     pick: Callable[[Word], bool] = _is_column,
     survivor: Callable[[Word, dict[int, int]], int] = _smallest_exponent,
 ) -> None:
-    """Walk each column of the keys pick takes out of the accumulator onto
-    the exponent survivor(skel, {m: numerator of phi(b^m skel)}) names.
+    """Walk each column of the keys pick selects onto the exponent
+    survivor(skel, {m: numerator of phi(b^m skel)}) names.  A column whose
+    one key already sits there stays where it is.
 
     A b-left key b^m x sits in column x; a right-b key y b^q equals
     -phi(b^{-q} y^-1), i.e. column y^-1.  The accumulator holds one
@@ -412,18 +441,29 @@ def _merge_columns(
     key.  normal_form keeps one exponent per column, as keys sharing one
     violate the support conditions.
     """
-    columns: dict[Word, dict[int, int]] = {}
-    for v, n in rewriter.take(pick).items():
-        if kind_of(v) is Kind.RIGHT_B:
-            v, n = inverse(v), -n
-        t = tau(v)
-        assert t is not None
-        m = len(v) - len(t) if v[0] == B else len(t) - len(v)  # v = b^m t
-        columns.setdefault(t, {})[m] = n
-    for skel, members in sorted(columns.items(), key=lambda kv: word_sort_key(kv[0])):
+    walks = []
+    for skel, keys in rewriter.group(lambda v: _column_skeleton(v) if pick(v) else None).items():
+        members: dict[int, int] = {}
+        for v, n in keys:
+            if v[0] != B and v[0] != -B:
+                v, n = inverse(v), -n
+            m = len(v) - len(skel)  # v = b^(+-m) skel
+            members[m if v[0] == B else -m] = n
         m_t = survivor(skel, members)
+        if len(members) > 1 or m_t not in members:
+            walks.append((skel, keys, members, m_t))
+    for skel, keys, members, m_t in sorted(walks, key=lambda walk: word_sort_key(walk[0])):
+        for v, _ in keys:
+            del rewriter.weight[v]
         target = b_power(m_t) + skel
         rewriter.emit(target, rewriter.sweep(RelationKind.LEFT, skel, members.items(), m_t))
+
+
+def _column_skeleton(v: Word) -> Word:
+    """The column of a b-left or right-b key: tau(v), or tau(v)^-1 for right-b."""
+    t = tau(v)
+    assert t is not None
+    return t if v[0] == B or v[0] == -B else inverse(t)
 
 
 @dataclass(frozen=True)

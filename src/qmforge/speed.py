@@ -154,17 +154,21 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
 
     Keys b^m s (and the flipped s b^m) retarget to phi(b s); the a^-1 column
     funnels to the phi(ab) class instead, which then dissolves by definition
-    of rot.  Everything else passes through untouched.
+    of rot: with n the numerator at ab, subtracting lambda*rot emits -n at ab
+    and +n at each b s, s != a^-1.  Everything else passes through untouched.
     """
     rewriter = _Rewriter(alphabet, nf.weight)
     _merge_columns(rewriter, _is_edge_column, lambda skel, _: -1 if skel == (-A,) else 1)
-    mid, trace = rewriter.result()
-    lam = mid.coefficient((A, B))
-    residue = mid - rot(alphabet).scale(lam)
+    n = rewriter.weight.get((A, B), 0)
+    rewriter.emit((A, B), -n)
+    for s in rewriter.s_b:
+        if s != -A:
+            rewriter.emit((B, s), n)
+    residue, trace = rewriter.result()
     ok, violation = is_normal_form(residue, alphabet)
     if not ok:
         raise ValueError(str(violation))
-    return lam, residue, trace
+    return Fraction(n, rewriter.den), residue, trace
 
 
 def speed(f: BrooksSum, alphabet: Alphabet) -> SpeedReport:

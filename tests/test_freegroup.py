@@ -71,6 +71,18 @@ def test_parse_word_round_trip():
     assert word_str(()) == "e"
 
 
+def test_word_str_names_every_letter_and_refuses_the_rest():
+    """Each of the 52 letters prints as its name, a trailing apostrophe for
+    an inverse; a letter outside them is named in check_word's words."""
+    names = "abcdefghijklmnopqrstuvwxyz"
+    for i, name in enumerate(names, 1):
+        assert (word_str((i,)), word_str((-i,))) == (name, name + "'")
+    assert word_str((1, -2, 26, -26)) == "ab'zz'"
+    for bad, letter in (((0,), 0), ((27,), 27), ((-27,), -27), ((1, 0, 2), 0)):
+        with pytest.raises(ValueError, match=f"^letter {letter} is not in the alphabet of rank 26$"):
+            word_str(bad)
+
+
 def test_parse_word_rejects_garbage():
     with pytest.raises(ValueError):
         parse_word("ax", AL)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -57,6 +58,8 @@ from _corpus import random_brooks_sum, random_reduced_word
 from _optimized import run_optimized
 
 AL = Alphabet(2)
+# The package exports a function named speed, which hides the module of that name.
+speed_module = importlib.import_module("qmforge.speed")
 
 
 def w(text):
@@ -411,6 +414,68 @@ def test_normal_forms_of_a_seeded_corpus_are_pinned():
         assert trace.certifies(f, nf, alphabet), format_sum(f)
         digest.update(f"{alphabet.rank}|{format_sum(nf)}\n".encode())
     assert digest.hexdigest() == "fcc90118ab3a306a83086800c9b31eca1e58794c9feb7dde3cf73066b185c25c"
+
+
+EXPONENTS = [m for m in range(-6, 7) if m]
+
+
+def _frozen_trace_corpus(alphabet, rng):
+    """300 classify-shaped sums (a third of them with fractional weights),
+    then every rewrite shape with exponents up to 6: two two-member box
+    families, b^p x b^q + b x' b and b^q xx b^p + b x'x' b, a column b^p x
+    beside a right-b key x' b^q of its own column, and b^m beside a key of
+    its own debris; x runs over S_b."""
+    s_b = alphabet.s_b()
+    for i in range(300):
+        f = random_brooks_sum(rng, alphabet)
+        if i % 3 == 0:
+            f = brooks_sum({v: c / rng.randint(1, 6) for v, c in f.weight.items()})
+        yield f
+    for i, (p, q) in enumerate((p, q) for p in EXPONENTS for q in EXPONENTS):
+        x = (s_b[i % len(s_b)],)
+        xx, box = x + x, {b_power(p) + x + b_power(q): 1, (B,) + inverse(x) + (B,): -2}
+        yield brooks_sum({**box, b_power(q) + xx + b_power(p): 1, (B,) + inverse(xx) + (B,): 1})
+        yield brooks_sum({b_power(p) + x: Fraction(1, 2), inverse(x) + b_power(q): 3})
+    for m in range(2, 7):
+        for s in s_b:
+            yield brooks_sum({b_power(m): 1, b_power(m - 1) + (s,): -1})
+
+
+FROZEN_TRACE_DIGESTS = {
+    2: "c451d89152583333594b1ac7fbb1754a479e7614459aed0bc2ce54569ffd2abf",
+    3: "02accc052b2c1393b90e653e23636a03ee880013f936c70247f80d779194be57",
+    4: "38e3eb7ad5b59f9774e93b7a228865b612bb0cfb3da931665cc18991a1a909aa",
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_normal_form_and_speed_traces_are_frozen(rank, monkeypatch):
+    """normal_form's sum and every trace step, and speed's value, lambda,
+    witness, residue and trace steps, on the corpus and its images under P1,
+    H and Tinv, hash to a pinned digest.  The corpus reaches speed's
+    absorbing branch at least 20 times."""
+    alphabet = Alphabet(rank)
+    absorbed = []
+    absorb = speed_module._absorb_columns
+    monkeypatch.setattr(
+        speed_module, "_absorb_columns", lambda nf, al: absorbed.append(1) or absorb(nf, al)
+    )
+    digest = hashlib.sha256()
+
+    def steps(trace):
+        return ";".join(f"{s.kind.value},{s.base},{s.coefficient}" for s in trace.steps)
+
+    words = [NielsenWord.parse(t) for t in ("P1", "H", "Tinv")]
+    for f in _frozen_trace_corpus(alphabet, random.Random(97 + rank)):
+        for g in (f, *(act(x, f, alphabet) for x in words)):
+            nf, trace = normal_form(g, alphabet)
+            report = speed(g, alphabet)
+            digest.update(
+                f"{format_sum(nf)}|{steps(trace)}|{report.value}|{report.rot_coefficient}|"
+                f"{report.witness}|{format_sum(report.residue)}|{steps(report.trace)}\n".encode()
+            )
+    assert len(absorbed) >= 20, len(absorbed)
+    assert digest.hexdigest() == FROZEN_TRACE_DIGESTS[rank]
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

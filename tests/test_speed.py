@@ -17,12 +17,32 @@ from qmforge.counting import (
     phi,
     zero,
 )
-from qmforge.freegroup import A, Alphabet, Kind, NielsenGen, b_form, ball, inverse, parse_word
-from qmforge.relations import RelationKind, eliminate_b_powers, extension_relation, normal_form
+from qmforge.freegroup import (
+    A,
+    B,
+    Alphabet,
+    Kind,
+    NielsenGen,
+    b_form,
+    b_power,
+    ball,
+    inverse,
+    parse_word,
+)
+from qmforge.relations import (
+    RelationKind,
+    _merge_columns,
+    _Rewriter,
+    eliminate_b_powers,
+    extension_relation,
+    normal_form,
+)
 from qmforge.speed import (
     BoundTag,
+    _absorb_columns,
     _is_edge_column,
     _reduced_as_given,
+    _top_speeds,
     empirical_speed,
     in_O,
     rot,
@@ -31,7 +51,7 @@ from qmforge.speed import (
     support_geometry,
 )
 
-from _corpus import corpus, random_brooks_sum
+from _corpus import corpus, random_brooks_sum, random_reduced_word
 from _optimized import run_optimized
 
 AL = Alphabet(2)
@@ -269,6 +289,57 @@ def test_decomposition_is_always_certified():
         lam, value, witness, residue, trace = _unpack(speed(f, AL))
         target = rot(AL).scale(lam) + residue
         assert trace.certifies(f, target, AL), f.weight
+
+
+def _edge_column_sums(alphabet, rng, count):
+    """Sums of edge columns b^m s and s b^m beside a few random short keys,
+    every weight with a denominator from 1 to 6."""
+    s_b, exponents = alphabet.s_b(), [m for m in range(-4, 5) if m]
+    for _ in range(count):
+        entries = {}
+        for _ in range(rng.randint(1, 5)):
+            m, s = rng.choice(exponents), rng.choice(s_b)
+            v = b_power(m) + (s,) if rng.random() < 0.5 else (s,) + b_power(m)
+            entries[v] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+        for _ in range(rng.randint(0, 2)):
+            v = random_reduced_word(rng, alphabet, rng.randint(1, 3))
+            entries[v] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 6))
+        yield brooks_sum(entries)
+
+
+def _reference_absorb(nf, alphabet):
+    """Edge columns walked to exponent 1 (the a^-1 column to -1), then
+    lambda*rot subtracted as a sum."""
+    rewriter = _Rewriter(alphabet, nf.weight)
+    _merge_columns(rewriter, _is_edge_column, lambda skel, _: -1 if skel == (-A,) else 1)
+    mid, trace = rewriter.result()
+    lam = mid.coefficient((A, B))
+    return lam, mid - rot(alphabet).scale(lam), trace
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_absorbing_columns_equals_subtracting_lambda_rot(rank):
+    """On sums whose normal form takes speed's absorbing branch, the column
+    rewrite gives the reference's lambda, residue and trace, and speed keeps
+    them exactly when its rule says so."""
+    alphabet = Alphabet(rank)
+    taken = fractional = 0
+    for f in _edge_column_sums(alphabet, random.Random(71 + rank), 150):
+        nf, nf_trace = normal_form(f, alphabet)
+        value, top = _top_speeds(nf)
+        if value == 0 or _reduced_as_given(top):
+            continue
+        taken += 1
+        lam, residue, trace = _reference_absorb(nf, alphabet)
+        fractional += lam.denominator > 1
+        assert _absorb_columns(nf, alphabet) == (lam, residue, trace), f.weight
+        report = speed(f, alphabet)
+        if all(map(_is_edge_column, top)) or _top_speeds(residue)[0] < value:
+            kept = (lam, residue, nf_trace + trace)
+        else:
+            kept = (0, nf, nf_trace)
+        assert (report.rot_coefficient, report.residue, report.trace) == kept, f.weight
+    assert taken >= 40 and fractional >= 10, (taken, fractional)
 
 
 def _unpack(report):
