@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable
 
 from .counting import Accumulator, BrooksSum, _check_key, brooks_sum, check_sum, phi
@@ -279,25 +280,34 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
 
     Generators apply in sequence order, matching NielsenWord.word: the word
     [g1, g2] acts as g2[g1[f]].  f is checked once and seeds one accumulator;
-    each generator is a pass that takes every key and emits its image times
-    its numerator, T^-1 after unwinding the b-power keys to b and charging
-    its images to the accumulator's letter budget.
+    each run of P1, P2 and H is one pass that takes every key and emits its
+    image under the whole run, turned canonical once, times its numerator.
+    Each T^-1 is a pass that emits every key's image after unwinding the
+    b-power keys to b and charging its images to the accumulator's letter
+    budget.  By the empty word a canonical sum (canonical keys, nonzero
+    Fraction weights) comes back as given, as from normal_form.
     """
-    check_sum(f, alphabet)
+    canonical = check_sum(f, alphabet)
     if isinstance(x, NielsenGen):
         x = NielsenWord.from_gens([x])
+    if canonical and not x.gens:
+        return f
     acc = _Rewriter(alphabet, f.weight)
-    for gen in x.gens:
-        if gen is NielsenGen.TINV:
+    for tinv, run in groupby(x.gens, lambda gen: gen is NielsenGen.TINV):
+        if not tinv:
+            gens = tuple(run)
+            for v, n in acc.take(lambda v: True).items():
+                for gen in gens:
+                    v = apply_nielsen(gen, v, alphabet)
+                acc.emit(v, n)
+            continue
+        for _ in run:
             _unwind_b_powers(acc)
             # w1_support(v) has at most 4 words of length at most 2|v| + 2.
             acc.charge(sum(8 * len(v) + 8 for v in acc.weight))
-        for v, n in acc.take(lambda v: True).items():
-            if gen is not NielsenGen.TINV:
-                acc.emit(apply_nielsen(gen, v, alphabet), n)
-                continue
-            # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
-            image = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
-            for u, cu in image.items():
-                acc.emit(u, n * cu)
+            for v, n in acc.take(lambda v: True).items():
+                # T^-1 phi_b = phi_a + phi_b; b is the only b-power key after the unwinding.
+                image = {(A,): 1, (B,): 1} if tau(v) is None else w1_support(v, alphabet).weight()
+                for u, cu in image.items():
+                    acc.emit(u, n * cu)
     return acc.as_sum()

@@ -105,15 +105,23 @@ def _check_key(v: Word) -> None:
         raise ValueError(f"key {v!r} is not reduced")
 
 
-def check_sum(f: BrooksSum, alphabet: Alphabet) -> None:
+def check_sum(f: BrooksSum, alphabet: Alphabet) -> bool:
     """The contract of every entry that takes a Brooks sum: raise ValueError
     unless f is in Brooks mode and every key is nonempty, reduced and spelled
-    in the alphabet.  Key orientation is not part of it."""
+    in the alphabet.  Key orientation is not part of it.
+
+    Return whether f is also canonical, as an Accumulator builds its sums:
+    every key in canonical orientation, every weight a nonzero Fraction.
+    """
     if f.mode is not Mode.BROOKS:
         raise ValueError("expected a Brooks sum, got a counting sum")
-    for v in f.weight:
+    canonical = True
+    for v, c in f.weight.items():
         _check_key(v)
         alphabet.check_word(v)
+        if canonical:
+            canonical = type(c) is Fraction and c.numerator != 0 and is_canonical(v)
+    return canonical
 
 
 def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
@@ -236,6 +244,8 @@ def norm(f: BrooksSum) -> int:
 def format_sum(f: BrooksSum) -> str:
     if f.is_zero():
         return "0"
+    for v in f.weight:
+        _NAMED.check_word(v)  # before sorting: word_sort_key knows only the named letters
     head = "#" if f.mode is Mode.COUNTING else "phi"
     parts: list[str] = []
     for v in f.support():

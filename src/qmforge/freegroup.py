@@ -12,7 +12,7 @@ second.  `word_sort_key` realizes (length, lex) in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import add, neg
@@ -35,10 +35,13 @@ class Alphabet:
     """
 
     rank: int
+    # The 2n letters, for one set test per word in check_word.
+    letter_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 <= self.rank <= len(_LETTER_NAMES):
             raise ValueError(f"rank must be between 2 and {len(_LETTER_NAMES)}, got {self.rank}")
+        object.__setattr__(self, "letter_set", frozenset(self.letters()))
 
     def letters(self) -> list[int]:
         """All 2n letters in canonical order a, a', b, b', ..."""
@@ -53,8 +56,10 @@ class Alphabet:
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError naming the first letter of w outside this alphabet."""
+        if self.letter_set.issuperset(w):
+            return
         for x in w:
-            if not 1 <= abs(x) <= self.rank:
+            if x not in self.letter_set:
                 raise ValueError(f"letter {x} is not in the alphabet of rank {self.rank}")
 
 

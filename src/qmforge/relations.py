@@ -48,14 +48,12 @@ from .counting import (
 from .freegroup import (
     B,
     Alphabet,
-    Kind,
     Word,
     b_form,
     b_power,
     inverse,
     is_canonical,
     is_reduced,
-    kind_of,
     tau,
     word_sort_key,
 )
@@ -357,10 +355,8 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     would leave it in place without a step.  Weights are never mutated
     after construction, so handing back f itself is safe.
     """
-    check_sum(f, alphabet)
-    if all(type(c) is Fraction and c and is_canonical(v) for v, c in f.weight.items()):
-        if is_normal_form(f, alphabet)[0]:
-            return f, RewriteTrace(())
+    if check_sum(f, alphabet) and is_normal_form(f, alphabet)[0]:
+        return f, RewriteTrace(())
     rewriter = _Rewriter(alphabet, f.weight)
     _unwind_b_powers(rewriter)
     _merge_boxes(rewriter)
@@ -418,7 +414,8 @@ def _box_skeleton(v: Word) -> Optional[Word]:
 
 
 def _is_column(v: Word) -> bool:
-    return kind_of(v) in (Kind.B_LEFT, Kind.RIGHT_B)
+    """Is v b-left or right-b: does exactly one of its ends carry b?"""
+    return (abs(v[0]) == B) != (abs(v[-1]) == B)
 
 
 def _smallest_exponent(skel: Word, members: dict[int, int]) -> int:
@@ -483,45 +480,63 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
     """
     if f.mode is not Mode.BROOKS:
         raise ValueError("normal form applies to Brooks sums")
-    # Whether a violation exists does not depend on key order, only which one
-    # is reported: so the support is sorted only when there is one to report.
-    if _first_violation(f.weight) is None:
-        return True, None
-    return False, _first_violation(f.support())
+    violation = _first_violation(f.weight)
+    return violation is None, violation
 
 
 def _first_violation(keys: Iterable[Word]) -> Optional[NormalFormViolation]:
-    """is_normal_form's violation, the first one in the given key order.
+    """is_normal_form's violation: the first that a walk over the keys in
+    (length, lex) order meets, whatever order they are given in.
 
-    One pass over the keys: condition (1), and per kind a map from skeleton
-    to its first key plus the kind's first repeated skeleton.  Kinds are then
-    checked in the order in which they first occur.
+    One scan reads each key's two ends and files it by them (b at the left
+    end adds 1, at the right end 2) under its skeleton.  A b-truncated key is
+    its own skeleton, and of a word and its inverse only one is canonical, so
+    a b-truncated pair for (3) holds a key in turned orientation: only such
+    keys are inverted and looked up.  On a normal form no sort key is made.
+    Otherwise the walk in order is read off the scan: (1) first; then the
+    kinds in the order of their first keys, each with its first repeated
+    skeleton (2) before its first pair (3); the b-left/right-b pairs last.
     """
-    first: dict[Kind, dict[Word, Word]] = {}
-    repeats: dict[Kind, NormalFormViolation] = {}
+    groups: tuple[dict[Word, Word], ...] = ({}, {}, {}, {})
+    bad: list[Word] = []
+    repeats: list[tuple[int, Word, Word]] = []
+    turned: list[Word] = []
     for v in keys:
-        t = tau(v)
-        if t is None:
-            if v != (B,):
-                return NormalFormViolation(1, v, None)
-            continue
-        kind = kind_of(v)
-        seen = first.setdefault(kind, {})
-        if t in seen:
-            repeats.setdefault(kind, NormalFormViolation(2, seen[t], v))
+        ends = (abs(v[0]) == B) + 2 * (abs(v[-1]) == B)
+        if ends:
+            t = tau(v)
+            if t is None:
+                if v != (B,):
+                    bad.append(v)
+                continue
         else:
-            seen[t] = v
-    for kind, seen in first.items():
-        if kind in repeats:
-            return repeats[kind]
-        if kind in (Kind.B_TRUNCATED, Kind.B_AND_B):
-            for t, v in seen.items():
-                w = seen.get(inverse(t))
-                if w is not None and w != v:
-                    return NormalFormViolation(3, v, w)
-    right_b = first.get(Kind.RIGHT_B, {})
-    for t, v in first.get(Kind.B_LEFT, {}).items():
-        w = right_b.get(inverse(t))
-        if w is not None:
-            return NormalFormViolation(3, v, w)
-    return None
+            t = v
+            if not is_canonical(v):
+                turned.append(v)
+        if groups[ends].setdefault(t, v) is not v:
+            repeats.append((ends, t, v))
+    if bad:
+        return NormalFormViolation(1, min(bad, key=word_sort_key), None)
+    truncated, b_left, right_b, boxes = groups
+    # Each pair for (3) as (ends, v, w): the inverse of v's skeleton is w's.
+    pairs = [(0, inverse(u), u) for u in turned if inverse(u) in truncated]
+    pairs += [(3, v, w) for t, v in boxes.items() if (w := boxes.get(inverse(t))) is not None]
+    if not repeats and not pairs:
+        across = [(v, w) for t, v in b_left.items() if (w := right_b.get(inverse(t))) is not None]
+        if not across:
+            return None
+        return NormalFormViolation(3, *min(across, key=lambda vw: word_sort_key(vw[0])))
+
+    # The (length, lex) key of each kind's first key orders the kinds.
+    first = [min(map(word_sort_key, group.values()), default=()) for group in groups]
+    shared: dict[tuple[int, Word], list[Word]] = {}
+    for ends, t, v in repeats:
+        first[ends] = min(first[ends], word_sort_key(v))
+        shared.setdefault((ends, t), [groups[ends][t]]).append(v)
+    found = []
+    for (ends, _), members in shared.items():
+        v, w = sorted(members, key=word_sort_key)[:2]
+        found.append(((first[ends], 2, word_sort_key(w)), NormalFormViolation(2, v, w)))
+    for ends, v, w in pairs:
+        found.append(((first[ends], 3, word_sort_key(v)), NormalFormViolation(3, v, w)))
+    return min(found, key=lambda kv: kv[0])[1]

@@ -44,7 +44,6 @@ from .freegroup import (
     Word,
     b_form,
     inverse,
-    kind_of,
     skeleton,
     tau,
     word_sort_key,
@@ -58,27 +57,31 @@ from .relations import (
     normal_form,
 )
 
-_KIND_OFFSET = {Kind.B_TRUNCATED: 0, Kind.B_LEFT: 1, Kind.RIGHT_B: 1, Kind.B_AND_B: 2}
-
 
 def sp_word(w: Word) -> int:
     """The closed-form speed of T^-1 on [phi_w].
 
     |A+| + |A-| + kind offset, where A+ collects the skeleton positions with
     s_j != a followed by a^-1 and A- those with s_j = a not followed by a^-1.
-    Pure b-powers other than b^{+-1} have no single-key speed; sums holding
-    them must be decomposed first.
+    The kind offset (0 b-truncated, 1 b-left or right-b, 2 b-and-b) is the
+    number of w's ends that carry b.  Pure b-powers other than b^{+-1} have
+    no single-key speed; sums holding them must be decomposed first.
     """
     if not w:
         raise ValueError("the identity has no word speed")
-    kind = kind_of(w)
-    if kind is Kind.B_POWER:
+    value = (abs(w[0]) == B) + (abs(w[-1]) == B)
+    last = 0  # the skeleton letter read last; 0 before the first
+    for x in w:
+        if x != B and x != -B:
+            # A position is in A+ or A- exactly when "s_j = a" and "s_j+1 = a^-1" differ.
+            if last:
+                value += (last == A) != (x == -A)
+            last = x
+    if not last:
         if len(w) == 1:
             return 0
         raise ValueError("phi of a proper b-power is not speed reduced; decompose first")
-    s = skeleton(w)
-    # A position is in A+ or A- exactly when "s_j = a" and "s_j+1 = a^-1" differ.
-    return sum((x == A) != (y == -A) for x, y in zip(s, s[1:])) + _KIND_OFFSET[kind]
+    return value
 
 
 def in_O(w: Word) -> bool:
@@ -145,7 +148,7 @@ def _reduced_as_given(top: list[Word]) -> bool:
     and nothing but edge columns and b-truncated keys.
     """
     return not any(map(_is_edge_column, top)) or not all(
-        _is_edge_column(v) or kind_of(v) is Kind.B_TRUNCATED for v in top
+        _is_edge_column(v) or B not in (abs(v[0]), abs(v[-1])) for v in top
     )
 
 

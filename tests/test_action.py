@@ -398,6 +398,29 @@ def test_act_empty_word_is_identity():
     assert act(NielsenWord(()), turned, AL) == -phi(w("a'b"))
 
 
+def test_act_turns_each_key_canonical_once_per_run_of_permutations(monkeypatch):
+    """A run of P1, P2 and H is one pass: each key is emitted once on entry
+    and once with its image under the whole run.  By the empty word a
+    canonical sum comes back as given, with no pass."""
+    from qmforge.counting import Accumulator
+
+    emitted = []
+    emit = Accumulator.emit
+
+    def counted(self, v, n):
+        emitted.append(v)
+        emit(self, v, n)
+
+    f = brooks_sum({w("ab'c", AL3): 2, w("ca", AL3): Fraction(-1, 2), w("bbc'", AL3): 3})
+    x = NielsenWord.parse("P1*H*P2*H*P1")
+    want = brooks_sum({x.word(v, AL3): c for v, c in f.weight.items()})
+    monkeypatch.setattr(Accumulator, "emit", counted)
+    assert act(x, f, AL3) == want
+    assert len(emitted) == 2 * len(f.weight)
+    emitted.clear()
+    assert act(NielsenWord(()), f, AL3) is f and emitted == []
+
+
 def test_act_checks_its_input_once(monkeypatch):
     """The steps of a Nielsen word run unchecked: a five-generator word
     checks the sum once, in act itself."""

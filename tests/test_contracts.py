@@ -10,7 +10,15 @@ from fractions import Fraction
 import pytest
 
 from qmforge.action import NielsenWord, act, n_representative_sum
-from qmforge.counting import BrooksSum, Mode, brooks_sum, count_term, counting_sum, phi
+from qmforge.counting import (
+    BrooksSum,
+    Mode,
+    brooks_sum,
+    check_sum,
+    count_term,
+    counting_sum,
+    phi,
+)
 from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import A, B, Alphabet, NielsenGen, inverse, is_canonical, is_reduced
 from qmforge.relations import eliminate_b_powers, normal_form
@@ -137,6 +145,26 @@ def test_every_sum_the_library_builds_keeps_the_key_contract(rank):
         built["speed residue"] = speed(f, alphabet).residue
         for name, g in built.items():
             assert _contract_breaches(g, alphabet) == [], (name, f.weight)
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_check_sum_reports_whether_a_sum_keeps_the_key_contract(rank):
+    """check_sum returns True exactly when the sum it accepts is as an
+    Accumulator builds it: on random sums with some keys turned, some
+    weights ints and some weights 0."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(1950 + rank)
+    seen = set()
+    for _ in range(150):
+        f = _turn_some(rng, random_brooks_sum(rng, alphabet))
+        weight = {}
+        for v, c in f.weight.items():
+            weight[v] = rng.choice((c, int(c), 0)) if rng.random() < 0.2 else c
+        g = BrooksSum(weight, Mode.BROOKS)
+        kept = _contract_breaches(g, alphabet) == []
+        assert check_sum(g, alphabet) is kept, g.weight
+        seen.add(kept)
+    assert seen == {True, False}
 
 
 def test_the_key_contract_check_sees_each_breach():

@@ -153,6 +153,17 @@ def test_format_sum_round_trip_shapes():
     assert format_sum(f) == "#(b) + 5*#(aa) - 3*#(ab)"
 
 
+@pytest.mark.parametrize("letter", [0, 27, -27])
+def test_format_sum_names_a_letter_outside_the_alphabet(letter):
+    """A hand-built key with a letter outside a-z is refused by name before
+    format_sum sorts the support, in str() too."""
+    f = BrooksSum({w("ab"): Fraction(1), (1, letter, 2): Fraction(2)}, Mode.BROOKS)
+    message = f"letter {letter} is not in the alphabet of rank 26"
+    for show in (format_sum, str):
+        with pytest.raises(ValueError, match=message):
+            show(f)
+
+
 # -- unbalancedness and certified length --------------------------------------
 
 

@@ -654,6 +654,14 @@ def test_is_normal_form_flags_violations():
     g = phi(w("bb"))
     ok, violation = is_normal_form(g, AL)
     assert not ok and violation is not None and violation.condition == 1
+    # a b-truncated key and its inverse (3), given in either order, beside a
+    # b-truncated key whose inverse is absent
+    for rank in (2, 3, 4):
+        top = rank if rank > 2 else A
+        v, other = (A, B, top), (top, -B, A, A)
+        for pair in ((v, inverse(v)), (inverse(v), v)):
+            h = BrooksSum({other: Fraction(1), **{u: Fraction(1) for u in pair}}, Mode.BROOKS)
+            assert is_normal_form(h, Alphabet(rank)) == (False, NormalFormViolation(3, v, inverse(v)))
 
 
 def _reference_is_normal_form(f, alphabet):
@@ -730,6 +738,37 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
 def test_rewriter_rejects_the_identity():
     with pytest.raises(ValueError, match="rewriting emitted the identity"):
         _Rewriter(Alphabet(2), {}).emit((), Fraction(1))
+
+
+def test_a_rewrite_scans_for_violations_twice(monkeypatch):
+    """normal_form scans its input once, in the guard, and its output once,
+    in the postcondition: the guard's scan also names the violation, in key
+    order, so no second scan over the sorted support follows.  A normal form
+    given as it is is scanned once."""
+    relations = importlib.import_module("qmforge.relations")
+    scan = relations._first_violation
+    calls = []
+
+    def counted(keys):
+        calls.append(keys)
+        return scan(keys)
+
+    monkeypatch.setattr(relations, "_first_violation", counted)
+    rng = random.Random(67)
+    rewritten = 0
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        for _ in range(40):
+            f = random_brooks_sum(rng, alphabet) + phi(b_power(rng.randint(2, 4)))
+            given = is_normal_form(f, alphabet)[0]
+            calls.clear()
+            nf, trace = normal_form(f, alphabet)
+            assert len(calls) == (1 if given else 2), f.weight
+            rewritten += not given
+            calls.clear()
+            assert normal_form(nf, alphabet) == (nf, RewriteTrace(()))
+            assert len(calls) == 1
+    assert rewritten >= 100, rewritten
 
 
 def test_violated_normal_form_exits_3_naming_relations_under_python_O():
