@@ -73,15 +73,20 @@ class NielsenWord:
 
     @staticmethod
     def parse(text: str) -> "NielsenWord":
-        """Parse `P1*H*Tinv`; the whole text `e` (like the empty text) is the identity."""
-        if text == "e":
+        """Parse `P1*H*Tinv`; the whole text `e` (like the empty text) is the
+        identity.  Each `*` must stand between two generators."""
+        if text in ("e", ""):
             return NielsenWord(())
         names = {g.value: g for g in NielsenGen}
         gens = []
-        for token in text.replace("*", " ").split():
-            if token not in names:
-                raise ValueError(f"unknown Nielsen generator {token!r}")
-            gens.append(names[token])
+        for part in text.split("*"):
+            tokens = part.split()
+            if not tokens:
+                raise ValueError(f"empty Nielsen generator in {text!r}")
+            for token in tokens:
+                if token not in names:
+                    raise ValueError(f"unknown Nielsen generator {token!r}")
+                gens.append(names[token])
         return NielsenWord.from_gens(gens)
 
     def word(self, w: Word, alphabet: Alphabet) -> Word:

@@ -355,16 +355,15 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     would leave it in place without a step.  Weights are never mutated
     after construction, so handing back f itself is safe.
     """
-    if check_sum(f, alphabet) and is_normal_form(f, alphabet)[0]:
+    if check_sum(f, alphabet) and _first_violation(f.weight) is None:
         return f, RewriteTrace(())
     rewriter = _Rewriter(alphabet, f.weight)
     _unwind_b_powers(rewriter)
     _merge_boxes(rewriter)
     _merge_columns(rewriter)
     current, trace = rewriter.result()
-
-    ok, violation = is_normal_form(current, alphabet)
-    if not ok:
+    if _first_violation(current.weight) is not None:
+        violation = is_normal_form(current, alphabet)[1]
         raise ValueError(f"normal form postcondition violated: {violation}")
     return current, trace
 
@@ -471,72 +470,58 @@ class NormalFormViolation:
 
 
 def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[NormalFormViolation]]:
-    """Check the three support conditions over the canonical support.
+    """Check f with check_sum, then the three support conditions; name the
+    first violation in (length, lex) order of the support.
 
     (1) a key with empty skeleton must be b itself; (2) distinct keys of one
     kind must have distinct skeletons; (3) for pairs of opposite kinds —
     both b-truncated, both b-and-b, or one b-left and one right-b — the
     skeleton of one inverse must differ from the other's skeleton.
     """
-    if f.mode is not Mode.BROOKS:
-        raise ValueError("normal form applies to Brooks sums")
-    violation = _first_violation(f.weight)
-    return violation is None, violation
+    check_sum(f, alphabet)
+    # Whether a violation exists does not depend on key order, only which one
+    # is met first: so the support is sorted only when there is one to name.
+    if _first_violation(f.weight) is None:
+        return True, None
+    return False, _first_violation(f.support())
 
 
 def _first_violation(keys: Iterable[Word]) -> Optional[NormalFormViolation]:
-    """is_normal_form's violation: the first that a walk over the keys in
-    (length, lex) order meets, whatever order they are given in.
-
-    One scan reads each key's two ends and files it by them (b at the left
-    end adds 1, at the right end 2) under its skeleton.  A b-truncated key is
-    its own skeleton, and of a word and its inverse only one is canonical, so
-    a b-truncated pair for (3) holds a key in turned orientation: only such
-    keys are inverted and looked up.  On a normal form no sort key is made.
-    Otherwise the walk in order is read off the scan: (1) first; then the
-    kinds in the order of their first keys, each with its first repeated
-    skeleton (2) before its first pair (3); the b-left/right-b pairs last.
+    """The first violation met walking the keys in the given order: (1);
+    then per kind, kinds in the order of their first keys, its first
+    repeated skeleton (2), else its first pair (3), a b-truncated pair met
+    at its canonical key; the b-left/right-b pairs last.  One scan files
+    each key by its ends (b at the left end adds 1, at the right end 2)
+    under its skeleton.  Of a b-truncated key and its inverse only one is
+    canonical, so only turned b-truncated keys are inverted.
     """
-    groups: tuple[dict[Word, Word], ...] = ({}, {}, {}, {})
-    bad: list[Word] = []
-    repeats: list[tuple[int, Word, Word]] = []
-    turned: list[Word] = []
+    groups: dict[int, dict[Word, Word]] = {}
+    repeats: dict[int, NormalFormViolation] = {}
+    turned: dict[Word, Word] = {}  # a turned b-truncated key under its inverse
     for v in keys:
         ends = (abs(v[0]) == B) + 2 * (abs(v[-1]) == B)
         if ends:
             t = tau(v)
             if t is None:
                 if v != (B,):
-                    bad.append(v)
+                    return NormalFormViolation(1, v, None)
                 continue
         else:
             t = v
             if not is_canonical(v):
-                turned.append(v)
-        if groups[ends].setdefault(t, v) is not v:
-            repeats.append((ends, t, v))
-    if bad:
-        return NormalFormViolation(1, min(bad, key=word_sort_key), None)
-    truncated, b_left, right_b, boxes = groups
-    # Each pair for (3) as (ends, v, w): the inverse of v's skeleton is w's.
-    pairs = [(0, inverse(u), u) for u in turned if inverse(u) in truncated]
-    pairs += [(3, v, w) for t, v in boxes.items() if (w := boxes.get(inverse(t))) is not None]
-    if not repeats and not pairs:
-        across = [(v, w) for t, v in b_left.items() if (w := right_b.get(inverse(t))) is not None]
-        if not across:
-            return None
-        return NormalFormViolation(3, *min(across, key=lambda vw: word_sort_key(vw[0])))
-
-    # The (length, lex) key of each kind's first key orders the kinds.
-    first = [min(map(word_sort_key, group.values()), default=()) for group in groups]
-    shared: dict[tuple[int, Word], list[Word]] = {}
-    for ends, t, v in repeats:
-        first[ends] = min(first[ends], word_sort_key(v))
-        shared.setdefault((ends, t), [groups[ends][t]]).append(v)
-    found = []
-    for (ends, _), members in shared.items():
-        v, w = sorted(members, key=word_sort_key)[:2]
-        found.append(((first[ends], 2, word_sort_key(w)), NormalFormViolation(2, v, w)))
-    for ends, v, w in pairs:
-        found.append(((first[ends], 3, word_sort_key(v)), NormalFormViolation(3, v, w)))
-    return min(found, key=lambda kv: kv[0])[1]
+                turned[inverse(v)] = v
+        first = groups.setdefault(ends, {}).setdefault(t, v)
+        if first is not v:
+            repeats.setdefault(ends, NormalFormViolation(2, first, v))
+    for ends, group in groups.items():
+        if ends in repeats:
+            return repeats[ends]
+        if ends == 3 or ends == 0 and turned:
+            for t, v in group.items():
+                if (w := (turned.get(t) if ends == 0 else group.get(inverse(t)))) is not None:
+                    return NormalFormViolation(3, v, w)
+    right_b = groups.get(2, {})
+    for t, v in groups.get(1, {}).items():
+        if (w := right_b.get(inverse(t))) is not None:
+            return NormalFormViolation(3, v, w)
+    return None

@@ -177,6 +177,15 @@ def test_nielsen_word_parse_reads_the_whole_text_e_as_the_identity():
             NielsenWord.parse(text)
 
 
+@pytest.mark.parametrize("text", ["*", "P1*", "*P1", "P1**H"])
+def test_nielsen_word_parse_refuses_an_empty_generator(text):
+    """Each `*` stands between two generators: none of these is the identity
+    or P1 or P1*H with the empty generator dropped."""
+    with pytest.raises(ValueError) as refused:
+        NielsenWord.parse(text)
+    assert str(refused.value) == f"empty Nielsen generator in {text!r}"
+
+
 # -- n-representatives -------------------------------------------------------------
 
 

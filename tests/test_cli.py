@@ -188,6 +188,13 @@ def test_unknown_nielsen_generator_exits_2(capsys):
     assert err.strip() == "qmforge: syntax error at position 0: unknown Nielsen generator 'Q'"
 
 
+@pytest.mark.parametrize("xword", ["*", "P1*", "*P1", "P1**H"])
+def test_an_empty_nielsen_generator_exits_2(capsys, xword):
+    code, out, err = run(capsys, "act", xword, "phi(ab)")
+    assert code == 2 and out == ""
+    assert err.strip() == f"qmforge: syntax error at position 0: empty Nielsen generator in {xword!r}"
+
+
 def test_contract_violation_exits_3(capsys):
     code, _, err = run(capsys, "normal-form", "#(ab)")
     assert code == 3

@@ -21,7 +21,7 @@ from qmforge.counting import (
 )
 from qmforge.fixpoints import exclude_fixpoint
 from qmforge.freegroup import A, B, Alphabet, NielsenGen, inverse, is_canonical, is_reduced
-from qmforge.relations import eliminate_b_powers, normal_form
+from qmforge.relations import eliminate_b_powers, is_normal_form, normal_form
 from qmforge.speed import empirical_speed, speed
 
 from _corpus import random_brooks_sum, random_reduced_word
@@ -49,6 +49,7 @@ MALFORMED = {
 
 ENTRIES = {
     "normal_form": lambda f, al: normal_form(f, al),
+    "is_normal_form": lambda f, al: is_normal_form(f, al),
     "eliminate_b_powers": lambda f, al: eliminate_b_powers(f, al),
     "speed": lambda f, al: speed(f, al),
     "act-Tinv": lambda f, al: act(NielsenGen.TINV, f, al),
@@ -83,6 +84,27 @@ def test_the_contract_fires_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "key (2, -2, 2) is not reduced"
+
+
+def test_is_normal_form_checks_the_contract_under_python_O():
+    """An unreduced key or a letter outside the rank is refused, not called
+    a normal form, with asserts stripped."""
+    proc = run_optimized(
+        "from fractions import Fraction\n"
+        "from qmforge.counting import BrooksSum, Mode\n"
+        "from qmforge.freegroup import Alphabet\n"
+        "from qmforge.relations import is_normal_form\n"
+        "for key in ((1, -1, 2), (1, 5)):\n"
+        "    try:\n"
+        "        print(is_normal_form(BrooksSum({key: Fraction(1)}, Mode.BROOKS), Alphabet(2)))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "key (1, -1, 2) is not reduced",
+        "letter 5 is not in the alphabet of rank 2",
+    ]
 
 
 @pytest.mark.parametrize("rank", RANKS)

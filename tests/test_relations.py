@@ -706,6 +706,7 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
     violation reported is still the first one in support order."""
     alphabet = Alphabet(rank)
     rng = random.Random(43 + rank)
+    pair_rng = random.Random(47 + rank)
     violations = set()
     for i in range(400):
         f = random_brooks_sum(rng, alphabet, max_keys=8, max_len=5)
@@ -719,11 +720,18 @@ def test_is_normal_form_agrees_with_the_pairwise_reference(rank):
                     key = b_power(rng.randint(-2, 2)) + y + b_power(rng.randint(-2, 2))
                     f = f + phi(key).scale(rng.randint(1, 3))
         turned = {rng.choice((v, inverse(v))): c for v, c in f.weight.items()}
+        # b-truncated keys given beside their inverses, in random insertion
+        # order, drawn apart from rng so that the corpus above stays as it is
+        truncated = [v for v in turned if abs(v[0]) != B and abs(v[-1]) != B]
+        extra = pair_rng.sample(truncated, min(len(truncated), pair_rng.randint(1, 2)))
+        paired = [*turned.items(), *((inverse(v), Fraction(pair_rng.randint(1, 3))) for v in extra)]
+        pair_rng.shuffle(paired)
         for g in (
             f,
             eliminate_b_powers(f, alphabet)[0],
             normal_form(f, alphabet)[0],
             BrooksSum(turned, Mode.BROOKS),
+            BrooksSum(dict(paired), Mode.BROOKS),
         ):
             verdict = is_normal_form(g, alphabet)
             assert verdict == _reference_is_normal_form(g, alphabet), g.weight
@@ -776,7 +784,7 @@ def test_violated_normal_form_exits_3_naming_relations_under_python_O():
         "import qmforge.relations as relations\n"
         "from qmforge.cli import main\n"
         "violation = relations.NormalFormViolation(2, (1, 2), (1, 2, 2))\n"
-        "relations.is_normal_form = lambda f, alphabet: (False, violation)\n"
+        "relations._first_violation = lambda keys: violation\n"
         "raise SystemExit(main(['normal-form', 'phi(bbab)']))\n"
     )
     proc = run_optimized(script)
