@@ -74,20 +74,24 @@ class NielsenWord:
     @staticmethod
     def parse(text: str) -> "NielsenWord":
         """Parse `P1*H*Tinv`; the whole text `e` (like the empty text) is the
-        identity.  Each `*` must stand between two generators."""
+        identity.  Each `*` must stand between two generators, and each
+        `*`-part, spaces around it stripped, is one generator name."""
         if text in ("e", ""):
             return NielsenWord(())
         names = {g.value: g for g in NielsenGen}
         gens = []
         for part in text.split("*"):
-            tokens = part.split()
-            if not tokens:
+            name = part.strip()
+            if not name:
                 raise ValueError(f"empty Nielsen generator in {text!r}")
-            for token in tokens:
-                if token not in names:
-                    raise ValueError(f"unknown Nielsen generator {token!r}")
-                gens.append(names[token])
+            if name not in names:
+                raise ValueError(f"unknown Nielsen generator {name!r}")
+            gens.append(names[name])
         return NielsenWord.from_gens(gens)
+
+    def __str__(self) -> str:
+        """The text parse reads back: `P1*H*...`, or `e` for the identity."""
+        return "*".join(g.value for g in self.gens) or "e"
 
     def word(self, w: Word, alphabet: Alphabet) -> Word:
         for g in self.gens:
@@ -300,11 +304,9 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
     acc = _Rewriter(alphabet, f.weight)
     for tinv, run in groupby(x.gens, lambda gen: gen is NielsenGen.TINV):
         if not tinv:
-            gens = tuple(run)
+            perm = NielsenWord(tuple(run))
             for v, n in acc.take(lambda v: True).items():
-                for gen in gens:
-                    v = apply_nielsen(gen, v, alphabet)
-                acc.emit(v, n)
+                acc.emit(perm.word(v, alphabet), n)
             continue
         for _ in run:
             _unwind_b_powers(acc)

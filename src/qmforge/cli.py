@@ -174,10 +174,6 @@ def parse_expression(text: str, alphabet: Alphabet) -> BrooksSum:
 # Output helpers
 
 
-def _letter_name(i: int) -> str:
-    return chr(ord("a") + i - 1)
-
-
 def _sum_json(f: BrooksSum) -> dict[str, Any]:
     return {
         "mode": f.mode.name.lower(),
@@ -188,15 +184,11 @@ def _sum_json(f: BrooksSum) -> dict[str, Any]:
 
 
 def _vector_json(vec: dict[int, Fraction]) -> dict[str, str]:
-    return {_letter_name(i): str(c) for i, c in sorted(vec.items())}
+    return {word_str((i,)): str(c) for i, c in sorted(vec.items())}
 
 
 def _vector_text(vec: dict[int, Fraction]) -> str:
-    return ", ".join(f"{_letter_name(i)}: {c}" for i, c in sorted(vec.items()))
-
-
-def _nielsen_str(x: NielsenWord) -> str:
-    return "*".join(g.value for g in x.gens) if x.gens else "e"
+    return ", ".join(f"{word_str((i,))}: {c}" for i, c in sorted(vec.items()))
 
 
 def _module_of(exc: BaseException) -> str:
@@ -289,7 +281,7 @@ def _cmd_act(
 
 def _cmd_exclude(ns: argparse.Namespace, alphabet: Alphabet, f: BrooksSum) -> _Result:
     wit = exclude_fixpoint(f, alphabet)
-    xs = _nielsen_str(wit.X)
+    xs = str(wit.X)
     payload: dict[str, Any] = {"X": xs, "kind": wit.kind.value}
     if wit.kind is EvidenceKind.POSITIVE_SPEED:
         assert wit.report is not None

@@ -274,14 +274,9 @@ def right_brothers(v: Word, alphabet: Alphabet) -> list[Word]:
 
 
 def left_brothers(v: Word, alphabet: Alphabet) -> list[Word]:
-    """Same-length words differing from v exactly in the first letter."""
-    if len(v) < 2:
-        raise ValueError("brotherhood needs length >= 2")
-    out = []
-    for y in alphabet.letters():
-        if y != v[0] and y != -v[1]:
-            out.append((y,) + v[1:])
-    return out
+    """Same-length words differing from v exactly in the first letter: the
+    mirror of right_brothers, v^-1's right brothers inverted, in (length, lex) order."""
+    return sorted(map(inverse, right_brothers(inverse(v), alphabet)), key=word_sort_key)
 
 
 @dataclass(frozen=True)

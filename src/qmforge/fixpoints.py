@@ -158,10 +158,7 @@ def exclude_fixpoint(
     if before[B] != 0:
         x = NielsenWord((NielsenGen.TINV,))
     else:
-        nonzero = [i for i, c in before.items() if c != 0]
-        if not nonzero:
-            raise ValueError("nonzero normal form with an empty coefficient vector")
-        j = min((B - i) % alphabet.rank for i in nonzero)
+        j = min((B - i) % alphabet.rank for i, c in before.items() if c != 0)
         x = NielsenWord((NielsenGen.P2,) * j + (NielsenGen.TINV,))
     wit = _witness(x, EvidenceKind.HOM_COEFFICIENT_CHANGE, f, alphabet)
     return _checked(wit, "T^-1 left the coefficient vector unchanged")

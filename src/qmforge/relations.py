@@ -362,8 +362,7 @@ def normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[BrooksSum, RewriteTra
     _merge_boxes(rewriter)
     _merge_columns(rewriter)
     current, trace = rewriter.result()
-    if _first_violation(current.weight) is not None:
-        violation = is_normal_form(current, alphabet)[1]
+    if (violation := _first_violation(current.weight)) is not None:
         raise ValueError(f"normal form postcondition violated: {violation}")
     return current, trace
 
@@ -479,11 +478,8 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
     skeleton of one inverse must differ from the other's skeleton.
     """
     check_sum(f, alphabet)
-    # Whether a violation exists does not depend on key order, only which one
-    # is met first: so the support is sorted only when there is one to name.
-    if _first_violation(f.weight) is None:
-        return True, None
-    return False, _first_violation(f.support())
+    violation = _first_violation(f.support())
+    return violation is None, violation
 
 
 def _first_violation(keys: Iterable[Word]) -> Optional[NormalFormViolation]:

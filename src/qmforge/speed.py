@@ -50,10 +50,10 @@ from .freegroup import (
 )
 from .relations import (
     RewriteTrace,
+    _first_violation,
     _is_column,
     _merge_columns,
     _Rewriter,
-    is_normal_form,
     normal_form,
 )
 
@@ -157,19 +157,18 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
 
     Keys b^m s (and the flipped s b^m) retarget to phi(b s); the a^-1 column
     funnels to the phi(ab) class instead, which then dissolves by definition
-    of rot: with n the numerator at ab, subtracting lambda*rot emits -n at ab
-    and +n at each b s, s != a^-1.  Everything else passes through untouched.
+    of rot: with n the numerator at ab, subtracting lambda*rot emits -n times
+    each of rot's weights.  Everything else passes through untouched.  The
+    residue is built from checked keys, so only the recognition scan reruns.
     """
     rewriter = _Rewriter(alphabet, nf.weight)
     _merge_columns(rewriter, _is_edge_column, lambda skel, _: -1 if skel == (-A,) else 1)
-    n = rewriter.weight.get((A, B), 0)
-    rewriter.emit((A, B), -n)
-    for s in rewriter.s_b:
-        if s != -A:
-            rewriter.emit((B, s), n)
+    rot_weight = rot(alphabet).weight
+    n = rewriter.weight.get(next(iter(rot_weight)), 0)  # rot's first key, phi(ab), has weight 1
+    for v, c in rot_weight.items():
+        rewriter.emit(v, -n * c.numerator)
     residue, trace = rewriter.result()
-    ok, violation = is_normal_form(residue, alphabet)
-    if not ok:
+    if (violation := _first_violation(residue.weight)) is not None:
         raise ValueError(str(violation))
     return Fraction(n, rewriter.den), residue, trace
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,7 @@ def test_nielsen_word_parse_and_t_expansion():
         assert nw.word(v, AL) == apply_nielsen(NielsenGen.T, v, AL)
     with pytest.raises(ValueError):
         NielsenWord.parse("Q")
+    assert NielsenWord.parse(" P1 * H ") == NielsenWord((NielsenGen.P1, NielsenGen.H))
 
 
 def test_nielsen_word_parse_reads_the_whole_text_e_as_the_identity():
@@ -184,6 +186,29 @@ def test_nielsen_word_parse_refuses_an_empty_generator(text):
     with pytest.raises(ValueError) as refused:
         NielsenWord.parse(text)
     assert str(refused.value) == f"empty Nielsen generator in {text!r}"
+
+
+@pytest.mark.parametrize(
+    "text, part", [("P1 H", "P1 H"), ("P1*H Tinv", "H Tinv"), ("P1\tH", "P1\tH"), (" P1 H ", "P1 H")]
+)
+def test_nielsen_word_parse_refuses_whitespace_inside_a_generator(text, part):
+    """Spaces may surround a generator but not split one `*`-part into two:
+    `P1 H` is not P1*H."""
+    with pytest.raises(ValueError) as refused:
+        NielsenWord.parse(text)
+    assert str(refused.value) == f"unknown Nielsen generator {part!r}"
+
+
+def test_nielsen_word_text_parses_back_to_the_word():
+    """str(x) is the text parse reads: `e` for the identity, T written out
+    as the seven generators it is stored as."""
+    assert str(NielsenWord(())) == "e"
+    assert str(NielsenWord.parse("T")) == "P1*H*P1*Tinv*P1*H*P1"
+    rng = random.Random(25)
+    gens = list(NielsenGen)
+    for _ in range(200):
+        x = NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 6)))
+        assert NielsenWord.parse(str(x)) == x
 
 
 # -- n-representatives -------------------------------------------------------------

@@ -195,6 +195,15 @@ def test_an_empty_nielsen_generator_exits_2(capsys, xword):
     assert err.strip() == f"qmforge: syntax error at position 0: empty Nielsen generator in {xword!r}"
 
 
+@pytest.mark.parametrize("xword", ["P1 H", "P1*H Tinv"])
+def test_whitespace_inside_a_nielsen_generator_exits_2(capsys, xword):
+    """`P1 H` is one unknown generator, not P1*H."""
+    part = xword.split("*")[-1]
+    code, out, err = run(capsys, "act", xword, "phi(ab)")
+    assert code == 2 and out == ""
+    assert err.strip() == f"qmforge: syntax error at position 0: unknown Nielsen generator {part!r}"
+
+
 def test_contract_violation_exits_3(capsys):
     code, _, err = run(capsys, "normal-form", "#(ab)")
     assert code == 3

@@ -275,3 +275,16 @@ def test_brothers_vary_one_letter():
     assert lbs == [w("a'b"), w("bb")]
     for v in rbs:
         assert len(v) == 2 and v[0] == w("ab")[0]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_left_brothers_are_listed_in_letter_order(rank):
+    """Every left brother of v changes only v's first letter, all 2*rank - 2
+    of them appear, and their first letters come in the alphabet's order."""
+    alphabet = Alphabet(rank)
+    letters = alphabet.letters()
+    for v in ball(alphabet, 4):
+        if len(v) < 2:
+            continue
+        firsts = [y for y in letters if y != v[0] and y != -v[1]]
+        assert left_brothers(v, alphabet) == [(y,) + v[1:] for y in firsts], v

@@ -779,6 +779,32 @@ def test_a_rewrite_scans_for_violations_twice(monkeypatch):
     assert rewritten >= 100, rewritten
 
 
+def test_is_normal_form_scans_once(monkeypatch):
+    """is_normal_form scans the sorted support once, on a violating sum as
+    on a normal form: the first violation met there is the one it names."""
+    relations = importlib.import_module("qmforge.relations")
+    scan = relations._first_violation
+    calls = []
+
+    def counted(keys):
+        calls.append(keys)
+        return scan(keys)
+
+    monkeypatch.setattr(relations, "_first_violation", counted)
+    rng = random.Random(25)
+    verdicts = set()
+    for rank in (2, 3, 4):
+        alphabet = Alphabet(rank)
+        for _ in range(40):
+            f = random_brooks_sum(rng, alphabet) + phi(b_power(rng.randint(1, 3)))
+            for g in (f, normal_form(f, alphabet)[0]):
+                calls.clear()
+                ok, _ = is_normal_form(g, alphabet)
+                assert len(calls) == 1, g.weight
+                verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 def test_violated_normal_form_exits_3_naming_relations_under_python_O():
     script = (
         "import qmforge.relations as relations\n"

@@ -429,6 +429,34 @@ def test_support_geometry_frozen_grid_under_python_O():
     assert proc.stdout.strip() == expected
 
 
+def test_the_column_branch_checks_its_input_once(monkeypatch):
+    """speed(phi(ba)) runs the column rewrite; its residue is built from keys
+    normal_form has checked, so check_sum runs once, in normal_form."""
+    import importlib
+
+    speed_module = importlib.import_module("qmforge.speed")
+    calls = []
+    for name in ("qmforge.action", "qmforge.relations"):
+        module = importlib.import_module(name)
+        original = module.check_sum
+
+        def counted(f, alphabet, original=original):
+            calls.append(f)
+            return original(f, alphabet)
+
+        monkeypatch.setattr(module, "check_sum", counted)
+    absorbed = []
+
+    def traced(nf, alphabet):
+        absorbed.append(nf)
+        return _absorb_columns(nf, alphabet)
+
+    monkeypatch.setattr(speed_module, "_absorb_columns", traced)
+    f = phi(w("ba"))
+    assert speed(f, AL).value == 1
+    assert absorbed and calls == [f]
+
+
 def test_violated_residue_exits_3_naming_speed_under_python_O():
     """speed(phi(ba)) runs the column rewrite, whose residue is checked again."""
     script = (
@@ -437,7 +465,7 @@ def test_violated_residue_exits_3_naming_speed_under_python_O():
         "from qmforge.relations import NormalFormViolation\n"
         "speed = importlib.import_module('qmforge.speed')\n"
         "violation = NormalFormViolation(1, (2, 2), None)\n"
-        "speed.is_normal_form = lambda f, alphabet: (False, violation)\n"
+        "speed._first_violation = lambda keys: violation\n"
         "raise SystemExit(main(['speed', 'phi(ba)']))\n"
     )
     proc = run_optimized(script)
