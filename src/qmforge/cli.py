@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NoReturn, Optional
+from typing import Any, Callable, Optional
 
 from .action import NielsenWord, act, n_representative_letters, n_representative_sum, wstar_n
 from .counting import (
@@ -54,120 +55,69 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-class _ExprParser:
-    """Recursive-descent parser for expr := term (('+'|'-') term)*."""
-
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.i = 0
-        self.alphabet = alphabet
-
-    def fail(self, message: str, position: Optional[int] = None) -> NoReturn:
-        raise ExpressionError(message, self.i if position is None else position)
-
-    def _ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def _peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self) -> BrooksSum:
-        # Raw weights, summed term by term; brooks_sum re-orients and
-        # merges the phi keys once.  A # key stays even at weight 0, so any
-        # # term switches the result to counting mode.
-        brooks: dict[Word, Fraction] = {}
-        counting: dict[Word, Fraction] = {}
-        self._ws()
-        if not self._peek():
-            self.fail("empty expression")
-        sign = 1
-        if self._peek() == "-":
-            sign, self.i = -1, self.i + 1
-        while True:
-            coef, kind, word = self._term()
-            if kind == "rot":
-                for v, c in rot(self.alphabet).weight.items():
-                    brooks[v] = brooks.get(v, Fraction(0)) + sign * coef * c
-            else:
-                assert word is not None
-                into = brooks if kind == "phi" else counting
-                into[word] = into.get(word, Fraction(0)) + sign * coef
-            self._ws()
-            if self.i >= len(self.text):
-                break
-            ch = self._peek()
-            if ch not in "+-":
-                self.fail(f"expected '+' or '-', found {ch!r}")
-            sign, self.i = (1 if ch == "+" else -1), self.i + 1
-        f = brooks_sum(brooks)
-        if counting:
-            return counting_sum(counting) + as_counting(f)
-        return f
-
-    def _term(self) -> tuple[Fraction, str, Optional[Word]]:
-        self._ws()
-        coef = Fraction(1)
-        if self._peek().isdigit():
-            coef = self._rational()
-            self._ws()
-            if self._peek() != "*":
-                self.fail("expected '*' after coefficient")
-            self.i += 1
-            self._ws()
-        if self.text.startswith("phi", self.i):
-            self.i += 3
-            return coef, "phi", self._word()
-        if self._peek() == "#":
-            self.i += 1
-            return coef, "count", self._word()
-        if self.text.startswith("rot", self.i):
-            self.i += 3
-            return coef, "rot", None
-        self.fail("expected 'phi', '#' or 'rot'")
-
-    def _rational(self) -> Fraction:
-        num = self._int()
-        if self._peek() == "/":
-            self.i += 1
-            at = self.i
-            den = self._int()
-            if den == 0:
-                self.fail("zero denominator", at)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _int(self) -> int:
-        start = self.i
-        while self._peek().isdigit():
-            self.i += 1
-        if self.i == start:
-            self.fail("expected an integer")
-        return int(self.text[start : self.i])
-
-    def _word(self) -> Word:
-        self._ws()
-        if self._peek() != "(":
-            self.fail("expected '('")
-        self.i += 1
-        close = self.text.find(")", self.i)
-        if close < 0:
-            self.fail("missing ')'")
-        chunk = self.text[self.i : close]
-        for off, ch in enumerate(chunk):
-            if ch.isspace():
-                self.fail("whitespace inside word", self.i + off)
-        start = self.i
-        try:
-            word = parse_word(chunk, self.alphabet)
-        except ValueError as exc:
-            raise ExpressionError(str(exc), start) from exc
-        self.i = close + 1
-        return word
+# One term and the sign or operator before it.  All parts after the sign are
+# optional, so a match never fails or backtracks, and the first part missing
+# or wrong names the error.  A word runs to the first ')'; `space` is its rest
+# from the first whitespace on.  \s is str.isspace and \d the digits int() reads.
+_TERM = re.compile(
+    r"""\s*(?P<sign>[-+]?)\s*
+    (?:(?P<num>\d+)(?:/(?P<den>\d*))?\s*(?P<star>\*?)\s*)?
+    (?:(?P<head>phi|\#)\s*(?P<open>\(?)(?P<body>[^)\s]*)(?P<space>[^)]*)(?P<close>\)?)
+      |(?P<rot>rot))?""",
+    re.VERBOSE,
+)
 
 
 def parse_expression(text: str, alphabet: Alphabet) -> BrooksSum:
-    return _ExprParser(text, alphabet).parse()
+    """Read expr := ['-'] term (('+'|'-') term)*, one term per _TERM match."""
+    # Raw weights; brooks_sum re-orients and merges the phi keys once.  A # key
+    # stays even at weight 0, so any # term switches the result to counting mode.
+    brooks: dict[Word, Fraction] = {}
+    counting: dict[Word, Fraction] = {}
+    if not text.strip():
+        raise ExpressionError("empty expression", len(text))
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        at = m.start("sign")
+        if at == len(text):
+            break
+        if pos and not m["sign"]:
+            raise ExpressionError(f"expected '+' or '-', found {text[at]!r}", at)
+        if pos == 0 and m["sign"] == "+":
+            raise ExpressionError("expected 'phi', '#' or 'rot'", at)
+        coef = Fraction(-1 if m["sign"] == "-" else 1)
+        if m["num"]:
+            if m["den"] == "":
+                raise ExpressionError("expected an integer", m.start("den"))
+            if m["den"] and int(m["den"]) == 0:
+                raise ExpressionError("zero denominator", m.start("den"))
+            if not m["star"]:
+                raise ExpressionError("expected '*' after coefficient", m.start("star"))
+            coef *= Fraction(int(m["num"]), int(m["den"] or 1))
+        if m["rot"]:
+            for v, c in rot(alphabet).weight.items():
+                brooks[v] = brooks.get(v, Fraction(0)) + coef * c
+        elif m["head"]:
+            if not m["open"]:
+                raise ExpressionError("expected '('", m.start("open"))
+            if not m["close"]:
+                raise ExpressionError("missing ')'", m.end("open"))
+            if m["space"]:
+                raise ExpressionError("whitespace inside word", m.start("space"))
+            try:
+                word = parse_word(m["body"], alphabet)
+            except ValueError as exc:
+                raise ExpressionError(str(exc), m.start("body")) from exc
+            into = brooks if m["head"] == "phi" else counting
+            into[word] = into.get(word, Fraction(0)) + coef
+        else:
+            raise ExpressionError("expected 'phi', '#' or 'rot'", m.end())
+        pos = m.end()
+    f = brooks_sum(brooks)
+    if counting:
+        return counting_sum(counting) + as_counting(f)
+    return f
 
 
 # ---------------------------------------------------------------------------

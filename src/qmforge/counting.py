@@ -244,8 +244,8 @@ def norm(f: BrooksSum) -> int:
 def format_sum(f: BrooksSum) -> str:
     if f.is_zero():
         return "0"
-    for v in f.weight:
-        _NAMED.check_word(v)  # before sorting: word_sort_key knows only the named letters
+    # Named before sorting: word_sort_key knows only the named letters.
+    names = {v: word_str(v) for v in f.weight}
     head = "#" if f.mode is Mode.COUNTING else "phi"
     parts: list[str] = []
     for v in f.support():
@@ -253,7 +253,7 @@ def format_sum(f: BrooksSum) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         coeff = "" if mag == 1 else f"{mag}*"
-        parts.append(f"{sign} {coeff}{head}({word_str(v)})")
+        parts.append(f"{sign} {coeff}{head}({names[v]})")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 

@@ -57,6 +57,18 @@ def test_parse_expression_error_positions():
     assert "position 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_whitespace_between_tokens_reads_as_the_compact_form(rank):
+    al = Alphabet(rank)
+    x = "abc"[rank - 1]
+    for spaced, compact in [
+        (" - 1/2 * phi (ab) +\trot ", "-1/2*phi(ab)+rot"),
+        ("#\t(ab)", "#(ab)"),
+        (f"\t٣ * phi ({x}a')\n-\n2\t*\t#({x}) ", f"3*phi({x}a')-2*#({x})"),
+    ]:
+        assert parse_expression(spaced, al) == parse_expression(compact, al)
+
+
 def test_parse_expression_mixed_modes_widen_to_counting():
     f = parse_expression("phi(ab) + #(b)", AL)
     from qmforge.counting import Mode
@@ -244,9 +256,14 @@ def test_nrep_below_1_exits_3_for_b_and_for_the_zero_sum(capsys, expr, n):
         ("phi a", None, 4, "expected '('"),
         ("phi(ab", None, 4, "missing ')'"),
         ("phi(a)", "two", 0, "QMFORGE_RANK is not an integer: 'two'"),
+        ("3phi(a)", None, 1, "expected '*' after coefficient"),
+        # a digit that int() cannot read is no coefficient; a decimal digit of any script is
+        ("²*phi(a)", None, 0, "expected 'phi', '#' or 'rot'"),
+        ("1/²*phi(a)", None, 2, "expected an integer"),
+        ("٣*psi(a)", None, 2, "expected 'phi', '#' or 'rot'"),
     ],
     ids=["empty", "no-operator", "no-term", "zero-den", "no-integer", "no-paren", "no-close",
-         "env-rank"],
+         "env-rank", "no-star", "superscript", "superscript-den", "decimal-digit"],
 )
 def test_each_parse_error_exits_2_with_its_position(
     capsys, monkeypatch, expr, env, position, message
