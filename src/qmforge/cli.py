@@ -68,6 +68,18 @@ _TERM = re.compile(
 )
 
 
+def _integer(m: re.Match[str], group: str) -> int:
+    """The decimal integer in a group of m; one longer than the interpreter's
+    integer string-conversion limit is a syntax error at its first digit."""
+    try:
+        return int(m[group])
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ExpressionError(
+            f"integer of {len(m[group])} digits, over the limit of {limit}", m.start(group)
+        ) from exc
+
+
 def parse_expression(text: str, alphabet: Alphabet) -> BrooksSum:
     """Read expr := ['-'] term (('+'|'-') term)*, one term per _TERM match."""
     # Raw weights; brooks_sum re-orients and merges the phi keys once.  A # key
@@ -90,11 +102,12 @@ def parse_expression(text: str, alphabet: Alphabet) -> BrooksSum:
         if m["num"]:
             if m["den"] == "":
                 raise ExpressionError("expected an integer", m.start("den"))
-            if m["den"] and int(m["den"]) == 0:
+            den = _integer(m, "den") if m["den"] else 1
+            if den == 0:
                 raise ExpressionError("zero denominator", m.start("den"))
             if not m["star"]:
                 raise ExpressionError("expected '*' after coefficient", m.start("star"))
-            coef *= Fraction(int(m["num"]), int(m["den"] or 1))
+            coef *= Fraction(_integer(m, "num"), den)
         if m["rot"]:
             for v, c in rot(alphabet).weight.items():
                 brooks[v] = brooks.get(v, Fraction(0)) + coef * c
@@ -109,6 +122,8 @@ def parse_expression(text: str, alphabet: Alphabet) -> BrooksSum:
                 word = parse_word(m["body"], alphabet)
             except ValueError as exc:
                 raise ExpressionError(str(exc), m.start("body")) from exc
+            if not word:
+                raise ExpressionError("the identity cannot carry weight", m.start("body"))
             into = brooks if m["head"] == "phi" else counting
             into[word] = into.get(word, Fraction(0)) + coef
         else:

@@ -97,7 +97,7 @@ def _scaled_into(acc: dict[Word, int], f: BrooksSum, den: int, sign: int) -> Non
             acc[vinv] = acc.get(vinv, 0) - n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     kind: RelationKind
     base: Word
@@ -478,8 +478,11 @@ def is_normal_form(f: BrooksSum, alphabet: Alphabet) -> tuple[bool, Optional[Nor
     skeleton of one inverse must differ from the other's skeleton.
     """
     check_sum(f, alphabet)
-    violation = _first_violation(f.support())
-    return violation is None, violation
+    # Whether a violation exists does not depend on key order, only which one
+    # is met first: so the support is sorted only when there is one to name.
+    if _first_violation(f.weight) is None:
+        return True, None
+    return False, _first_violation(f.support())
 
 
 def _first_violation(keys: Iterable[Word]) -> Optional[NormalFormViolation]:

@@ -96,16 +96,22 @@ def in_O(w: Word) -> bool:
     return len(w) == 1 if tau(w) is None else sp_word(w) == 0
 
 
+def _rot_weights(alphabet: Alphabet) -> dict[Word, int]:
+    """rot's integer weights on raw keys: 1 at ab, then -1 at each b s, s in
+    S_b minus a^-1.  Some b s are not canonical; brooks_sum and emit turn them."""
+    weights = {(A, B): 1}
+    for s in alphabet.s_b():
+        if s != -A:
+            weights[(B, s)] = -1
+    return weights
+
+
 def rot(alphabet: Alphabet) -> BrooksSum:
     """The distinguished T^-1-invariant combination phi(ab) - sum phi(bs).
 
     The sum runs over s in S_b minus a^-1; at rank 2 this is phi(ab)-phi(ba).
     """
-    entries: dict[Word, Fraction] = {(A, B): Fraction(1)}
-    for s in alphabet.s_b():
-        if s != -A:
-            entries[(B, s)] = Fraction(-1)
-    return brooks_sum(entries)
+    return brooks_sum(_rot_weights(alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +169,9 @@ def _absorb_columns(nf: BrooksSum, alphabet: Alphabet) -> tuple[Fraction, Brooks
     """
     rewriter = _Rewriter(alphabet, nf.weight)
     _merge_columns(rewriter, _is_edge_column, lambda skel, _: -1 if skel == (-A,) else 1)
-    rot_weight = rot(alphabet).weight
-    n = rewriter.weight.get(next(iter(rot_weight)), 0)  # rot's first key, phi(ab), has weight 1
-    for v, c in rot_weight.items():
-        rewriter.emit(v, -n * c.numerator)
+    n = rewriter.weight.get((A, B), 0)
+    for v, c in _rot_weights(alphabet).items():
+        rewriter.emit(v, -n * c)
     residue, trace = rewriter.result()
     if (violation := _first_violation(residue.weight)) is not None:
         raise ValueError(str(violation))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,9 @@ def test_nrep_below_1_exits_3_for_b_and_for_the_zero_sum(capsys, expr, n):
     assert err.strip() == "qmforge: contract violation in action: n must be >= 1"
 
 
+DIGITS = sys.get_int_max_str_digits()
+
+
 @pytest.mark.parametrize(
     "expr,env,position,message",
     [
@@ -261,9 +265,16 @@ def test_nrep_below_1_exits_3_for_b_and_for_the_zero_sum(capsys, expr, n):
         ("²*phi(a)", None, 0, "expected 'phi', '#' or 'rot'"),
         ("1/²*phi(a)", None, 2, "expected an integer"),
         ("٣*psi(a)", None, 2, "expected 'phi', '#' or 'rot'"),
+        ("phi(e)", None, 4, "the identity cannot carry weight"),
+        ("#(e)", None, 2, "the identity cannot carry weight"),
+        ("phi(aa')", None, 4, "the identity cannot carry weight"),
+        # int() reads at most sys.get_int_max_str_digits() digits, a limit the reader keeps
+        ("1" * 5000 + "*phi(a)", None, 0, f"integer of 5000 digits, over the limit of {DIGITS}"),
+        ("1/" + "1" * 5000 + "*phi(a)", None, 2, f"integer of 5000 digits, over the limit of {DIGITS}"),
     ],
     ids=["empty", "no-operator", "no-term", "zero-den", "no-integer", "no-paren", "no-close",
-         "env-rank", "no-star", "superscript", "superscript-den", "decimal-digit"],
+         "env-rank", "no-star", "superscript", "superscript-den", "decimal-digit",
+         "phi-e", "count-e", "phi-aa'", "long-num", "long-den"],
 )
 def test_each_parse_error_exits_2_with_its_position(
     capsys, monkeypatch, expr, env, position, message

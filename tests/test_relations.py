@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import random
@@ -34,6 +35,7 @@ from qmforge.freegroup import (
     kind_of,
     parse_word,
     tau,
+    word_sort_key,
 )
 from qmforge.oracle import Verdict, empirical_equiv, sup_on_ball
 from qmforge.relations import (
@@ -780,17 +782,28 @@ def test_a_rewrite_scans_for_violations_twice(monkeypatch):
 
 
 def test_is_normal_form_scans_once(monkeypatch):
-    """is_normal_form scans the sorted support once, on a violating sum as
-    on a normal form: the first violation met there is the one it names."""
+    """is_normal_form scans the keys once, in the order given, and sorts
+    nothing when they form a normal form; only a violating sum is scanned
+    again, over its sorted support, to name the first violation there."""
     relations = importlib.import_module("qmforge.relations")
-    scan = relations._first_violation
-    calls = []
+    scan, support = relations._first_violation, BrooksSum.support
+    calls, sorts = [], []
 
     def counted(keys):
         calls.append(keys)
         return scan(keys)
 
+    def counted_support(f):
+        sorts.append(f)
+        return support(f)
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
     monkeypatch.setattr(relations, "_first_violation", counted)
+    monkeypatch.setattr(BrooksSum, "support", counted_support)
+    monkeypatch.setattr(relations, "sorted", counted_sorted, raising=False)
     rng = random.Random(25)
     verdicts = set()
     for rank in (2, 3, 4):
@@ -799,8 +812,15 @@ def test_is_normal_form_scans_once(monkeypatch):
             f = random_brooks_sum(rng, alphabet) + phi(b_power(rng.randint(1, 3)))
             for g in (f, normal_form(f, alphabet)[0]):
                 calls.clear()
-                ok, _ = is_normal_form(g, alphabet)
-                assert len(calls) == 1, g.weight
+                sorts.clear()
+                ok, violation = is_normal_form(g, alphabet)
+                assert calls[0] is g.weight, g.weight
+                if ok:
+                    assert len(calls) == 1 and sorts == [], g.weight
+                else:
+                    ordered = sorted(g.weight, key=word_sort_key)
+                    assert len(calls) == 2 and calls[1] == ordered, g.weight
+                    assert violation == scan(ordered), g.weight
                 verdicts.add(ok)
     assert verdicts == {True, False}
 
@@ -834,6 +854,28 @@ def test_normal_form_bounds_difference_by_relations():
 
 
 # -- certificate checks -------------------------------------------------------------
+
+def test_a_trace_step_keeps_its_fields_in_slots():
+    """A TraceStep has no per-instance __dict__, refuses assignment, and
+    compares and hashes by its three fields."""
+    step = TraceStep(RelationKind.RIGHT, w("ab"), Fraction(1, 2))
+    assert not hasattr(step, "__dict__")
+    assert [f.name for f in dataclasses.fields(step)] == ["kind", "base", "coefficient"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.coefficient = Fraction(1)
+    with pytest.raises((AttributeError, TypeError)):
+        step.note = "extra"
+    same = TraceStep(RelationKind.RIGHT, w("ab"), Fraction(1, 2))
+    assert step == same and hash(step) == hash(same) == hash((step.kind, step.base, step.coefficient))
+    assert len({step, same}) == 1
+    for other in (
+        TraceStep(RelationKind.LEFT, w("ab"), Fraction(1, 2)),
+        TraceStep(RelationKind.RIGHT, w("ab'"), Fraction(1, 2)),
+        TraceStep(RelationKind.RIGHT, w("ab"), Fraction(-1, 2)),
+    ):
+        assert step != other
+    assert step != (step.kind, step.base, step.coefficient)
+
 
 FRACTIONS = (Fraction(1, 2), Fraction(5, 3), Fraction(1, 6), Fraction(-7, 4), Fraction(3))
 

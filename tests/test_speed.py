@@ -342,6 +342,37 @@ def test_absorbing_columns_equals_subtracting_lambda_rot(rank):
     assert taken >= 40 and fractional >= 10, (taken, fractional)
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_absorbing_columns_builds_no_sum(monkeypatch, rank):
+    """The column rewrite emits rot's weights straight into its rewriter: on
+    sums that take the absorbing branch it makes no brooks_sum call, and its
+    lambda, residue and trace are the reference's."""
+    import importlib
+
+    calls = []
+    for name in ("qmforge.counting", "qmforge.speed"):
+        module = importlib.import_module(name)
+
+        def counted(entries, original=module.brooks_sum):
+            calls.append(entries)
+            return original(entries)
+
+        monkeypatch.setattr(module, "brooks_sum", counted)
+    alphabet = Alphabet(rank)
+    taken = 0
+    for f in _edge_column_sums(alphabet, random.Random(27 + rank), 100):
+        nf = normal_form(f, alphabet)[0]
+        value, top = _top_speeds(nf)
+        if value == 0 or _reduced_as_given(top):
+            continue
+        taken += 1
+        expected = _reference_absorb(nf, alphabet)
+        calls.clear()
+        assert _absorb_columns(nf, alphabet) == expected, f.weight
+        assert calls == [], f.weight
+    assert taken >= 25, taken
+
+
 def _unpack(report):
     return (
         report.rot_coefficient,
