@@ -34,6 +34,7 @@ from .freegroup import (
     b_power,
     inverse,
     multiply,
+    substitute,
     tau,
     word_str,
 )
@@ -93,10 +94,15 @@ class NielsenWord:
         """The text parse reads back: `P1*H*...`, or `e` for the identity."""
         return "*".join(g.value for g in self.gens) or "e"
 
-    def word(self, w: Word, alphabet: Alphabet) -> Word:
+    def images(self, alphabet: Alphabet) -> dict[int, Word]:
+        """Each signed letter's image under the whole word: [g1, g2] maps x to g2(g1(x))."""
+        images = {x: (x,) for x in alphabet.letters()}
         for g in self.gens:
-            w = apply_nielsen(g, w, alphabet)
-        return w
+            images = {x: apply_nielsen(g, u, alphabet) for x, u in images.items()}
+        return images
+
+    def word(self, w: Word, alphabet: Alphabet) -> Word:
+        return substitute(self.images(alphabet), w, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +142,9 @@ class SupportProduct:
 
 
 def _middle_n(w: Word, n: int, alphabet: Alphabet) -> Word:
-    m = tau(w)
+    """The image of w under n steps of T^-1, its b-ends stripped."""
+    m = tau(NielsenWord((NielsenGen.TINV,) * n).word(w, alphabet))
     assert m is not None
-    for _ in range(n):
-        m = tau(apply_nielsen(NielsenGen.TINV, m, alphabet))
-        assert m is not None
     return m
 
 
@@ -304,9 +308,9 @@ def act(x: NielsenWord | NielsenGen, f: BrooksSum, alphabet: Alphabet) -> Brooks
     acc = _Rewriter(alphabet, f.weight)
     for tinv, run in groupby(x.gens, lambda gen: gen is NielsenGen.TINV):
         if not tinv:
-            perm = NielsenWord(tuple(run))
+            images = NielsenWord(tuple(run)).images(alphabet)
             for v, n in acc.take(lambda v: True).items():
-                acc.emit(perm.word(v, alphabet), n)
+                acc.emit(substitute(images, v, alphabet), n)
             continue
         for _ in run:
             _unwind_b_powers(acc)

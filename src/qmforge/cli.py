@@ -38,10 +38,10 @@ from .freegroup import (
     Alphabet,
     NielsenGen,
     Word,
-    apply_nielsen,
     ball,
     ball_size,
     parse_word,
+    substitute,
     word_str,
 )
 from .oracle import PASS, exact_identity_check, sup_on_ball
@@ -338,25 +338,20 @@ def _suite_relations(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     return True, f"indicator identities on balls {inner}/{outer}"
 
 
-def _t_power(v: Word, n: int, alphabet: Alphabet) -> Word:
-    for _ in range(n):
-        v = apply_nielsen(NielsenGen.T, v, alphabet)
-    return v
-
-
 def _suite_transport(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     probes = ("ba", "ab", "bab'", "b'a'b", "aba")
+    t_images = {n: NielsenWord.from_gens((NielsenGen.T,) * n).images(alphabet) for n in (1, 2)}
     for text in probes:
         w = parse_word(text, alphabet)
         count_w = count_term(w)
-        for n in (1, 2):
+        for n, images in t_images.items():
             table = counting_sum(wstar_n(w, n, alphabet))
             v = exact_identity_check(
                 lambda u: evaluate(count_w, u),
                 lambda v: evaluate(table, v),
                 radius,
                 alphabet,
-                transform=lambda v: _t_power(v, n, alphabet),
+                transform=lambda v: substitute(images, v, alphabet),
             )
             if v != PASS:
                 return False, f"transport of #{text} fails at {word_str(v)}, n={n}"

@@ -347,12 +347,8 @@ def _letter_images(gen: NielsenGen, rank: int) -> dict[int, Word]:
     return images
 
 
-def apply_nielsen(gen: NielsenGen, w: Word, alphabet: Alphabet) -> Word:
-    """Image of a word under one elementary Nielsen transformation.
-
-    The letter images are freely reduced on one stack as they are appended.
-    """
-    images = _letter_images(gen, alphabet.rank)
+def substitute(images: dict[int, Word], w: Word, alphabet: Alphabet) -> Word:
+    """Image of w under a letter map, freely reduced on one stack as images are appended."""
     stack: list[int] = []
     for x in w:
         img = images.get(x)
@@ -364,3 +360,8 @@ def apply_nielsen(gen: NielsenGen, w: Word, alphabet: Alphabet) -> Word:
             else:
                 stack.append(y)
     return tuple(stack)
+
+
+def apply_nielsen(gen: NielsenGen, w: Word, alphabet: Alphabet) -> Word:
+    """Image of a word under one elementary Nielsen transformation."""
+    return substitute(_letter_images(gen, alphabet.rank), w, alphabet)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -211,6 +212,52 @@ def test_nielsen_word_text_parses_back_to_the_word():
         assert NielsenWord.parse(str(x)) == x
 
 
+# -- letter images -----------------------------------------------------------------
+
+
+def _fold(x, v, alphabet):
+    """x's generators applied to v one by one, each a pass of apply_nielsen."""
+    for gen in x.gens:
+        v = apply_nielsen(gen, v, alphabet)
+    return v
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 5), (3, 3), (4, 3)])
+def test_images_and_word_match_the_generator_by_generator_fold(rank, radius):
+    """images(alphabet) is the fold on each signed letter, and word the fold on
+    every word of a ball, for Nielsen words of 0-8 generators drawn with T."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(2800 + rank)
+    gens = list(NielsenGen)
+    words = list(ball(alphabet, radius))
+    for _ in range(12):
+        x = NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 8)))
+        assert x.images(alphabet) == {y: _fold(x, (y,), alphabet) for y in alphabet.letters()}
+        for v in words:
+            assert x.word(v, alphabet) == _fold(x, v, alphabet), (x, v)
+
+
+def test_the_identity_word_checks_its_letters():
+    """The empty Nielsen word refuses a letter outside the alphabet, as P1 does,
+    rather than handing the word back unread."""
+    for x in (NielsenWord(()), NielsenWord.parse("P1")):
+        with pytest.raises(ValueError, match="^letter 5 is not in the alphabet of rank 2$"):
+            x.word((5,), AL)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_t_tinv_has_the_identity_letter_map(rank):
+    alphabet = Alphabet(rank)
+    identity = {x: (x,) for x in alphabet.letters()}
+    for gens in ([NielsenGen.T, NielsenGen.TINV], [NielsenGen.TINV, NielsenGen.T]):
+        assert NielsenWord.from_gens(gens).images(alphabet) == identity
+
+
+def test_h_tinv_h_tinv_is_conjugation_by_b():
+    images = NielsenWord.parse("H*Tinv*H*Tinv").images(AL)
+    assert images == {x: multiply((B,), (x,), (-B,)) for x in AL.letters()}
+
+
 # -- n-representatives -------------------------------------------------------------
 
 
@@ -379,6 +426,23 @@ def test_nrep_letter_bound_holds_on_a_ball(rank):
             assert sum(map(len, words)) + middles <= bound, (v, n)
 
 
+def _reference_middle(v, n, alphabet):
+    """The middle word as n steps of T^-1, the b-ends stripped before and after each."""
+    m = tau(v)
+    for _ in range(n):
+        m = tau(apply_nielsen(NielsenGen.TINV, m, alphabet))
+    return m
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 5), (3, 4), (4, 3)])
+def test_middle_n_matches_the_step_by_step_reference(rank, radius):
+    alphabet = Alphabet(rank)
+    for v in ball(alphabet, radius):
+        if tau(v) is not None:
+            for n in (1, 2, 5, 16):
+                assert _middle_n(v, n, alphabet) == _reference_middle(v, n, alphabet), (v, n)
+
+
 def test_factor_rows_have_uniform_length_per_index():
     for m0, s1 in ((2, 1), (2, -1), (-3, 1), (-1, -1), (0, 1)):
         rows = left_factors(m0, s1, 4, AL)
@@ -533,6 +597,55 @@ def test_act_matches_a_key_by_key_reference(rank):
         f = BrooksSum(weight, Mode.BROOKS)  # keys as drawn, either orientation
         x = NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 4)))
         assert act(x, f, alphabet) == _reference_act(x, f, alphabet), (f.weight, x)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_act_obeys_the_laws_of_out_fn_as_sums(rank):
+    """P1 and H are involutions and P2 has order rank, so P1*P1, H*H and
+    P2^rank act as the identity; and the concatenation X*Y acts as X, then Y.
+    Exact as sums on 100 seeded sums, X and Y of 0-3 generators with T and
+    Tinv among them."""
+    alphabet = Alphabet(rank)
+    rng = random.Random(2810 + rank)
+    gens = list(NielsenGen)
+    identities = [NielsenWord.parse(t) for t in ("P1*P1", "H*H", "*".join(["P2"] * rank))]
+    for _ in range(100):
+        f = random_brooks_sum(rng, alphabet, max_keys=4, max_len=4)
+        for e in identities:
+            assert act(e, f, alphabet) == f, (e, f.weight)
+        x, y = (NielsenWord.from_gens(rng.choice(gens) for _ in range(rng.randint(0, 3))) for _ in "xy")
+        xy = NielsenWord(x.gens + y.gens)
+        assert act(xy, f, alphabet) == act(y, act(x, f, alphabet), alphabet), (x, y, f.weight)
+
+
+def _conjugator(images, alphabet):
+    """The nonempty word g of length at most 2 with images x -> g x g^-1, or None."""
+    for g in ball(alphabet, 2):
+        if g and all(images[x] == multiply(g, (x,), inverse(g)) for x in alphabet.letters()):
+            return g
+    return None
+
+
+def test_inner_nielsen_words_fix_every_class():
+    """An inner automorphism moves a sum by a bounded function only.  The
+    Nielsen words of 1-6 generators at rank 2 whose letter map is conjugation
+    are found from their images; under 8 of them, 3 seeded sums with keys of
+    length at most 2 each stay equivalent by the oracle, on radii from the
+    longest key + 1 to + 4."""
+    from qmforge.oracle import Verdict, empirical_equiv
+
+    gens = (NielsenGen.P1, NielsenGen.H, NielsenGen.TINV)
+    words = (NielsenWord(t) for n in range(1, 7) for t in product(gens, repeat=n))
+    inner = [x for x in words if NielsenGen.TINV in x.gens and _conjugator(x.images(AL), AL)]
+    assert NielsenWord.parse("H*Tinv*H*Tinv") in inner
+    rng = random.Random(2820)
+    for x in rng.sample(inner, 8):
+        for _ in range(3):
+            f = random_brooks_sum(rng, AL, max_keys=3, max_len=2)
+            longest = max(map(len, f.weight), default=0)
+            radii = tuple(range(longest + 1, longest + 5))
+            rep = empirical_equiv(f, act(x, f, AL), AL, radii=radii)
+            assert rep.verdict is Verdict.LIKELY_EQUIV, (x, f.weight, rep.sups)
 
 
 # -- the letter budget -----------------------------------------------------------

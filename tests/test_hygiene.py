@@ -15,9 +15,9 @@ name or call a mutating method in its test, because ``python -O`` strips the
 whole statement and the effect with it; and every ``assert`` only narrows a
 type (``x is not None``, possibly several joined by ``and``), because a
 check that must hold under ``-O`` raises instead.  ``oracle.py`` may import neither the
-fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``) nor any
-module of the algebra it checks (``relations``, ``action``, ``speed``,
-``fixpoints``).  The package ``__init__`` lists in ``__all__`` each name it
+fast counters (``evaluate``, ``count_subword``, ``apply_nielsen``,
+``substitute``) nor any module of the algebra it checks (``relations``,
+``action``, ``speed``, ``fixpoints``).  The package ``__init__`` lists in ``__all__`` each name it
 imports, once, and no other.  Every source parses under the Python 3.10 grammar, the
 oldest that CI runs; that checks syntax only, not stdlib names new in 3.11.
 """
@@ -279,7 +279,7 @@ def test_every_assert_only_narrows_types():
     assert {module: lines for module, lines in checking.items() if lines} == {}
 
 
-REFEREED_NAMES = {"evaluate", "count_subword", "apply_nielsen"}
+REFEREED_NAMES = {"evaluate", "count_subword", "apply_nielsen", "substitute"}
 REFEREED_MODULES = {"relations", "action", "speed", "fixpoints"}
 
 
