@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Callable, Iterable
 
-from .counting import Accumulator, BrooksSum, _check_key, brooks_sum, check_sum, phi
+from .counting import Accumulator, BrooksSum, brooks_sum, check_sum, phi
 from .freegroup import (
     A,
     B,
@@ -175,7 +175,7 @@ def _left_table(m0: int, s1: int) -> Rows:
 
 def w1_support(w: Word, alphabet: Alphabet) -> SupportProduct:
     """The signed one-step support of phi_w . T for a non-b-power key."""
-    _check_key(w)
+    alphabet.check_key(w)
     if tau(w) is None:
         raise ValueError("b-powers have no one-step table; eliminate them first")
     return _product(w, _middle_n(w, 1, alphabet), _left_table)
@@ -231,7 +231,7 @@ def left_factor_count(m0: int, s1: int, n: int, alphabet: Alphabet) -> int:
 
 def nrep(w: Word, n: int, alphabet: Alphabet) -> SupportProduct:
     """The support product of the n-representative of phi_w (w not a b-power)."""
-    _check_key(w)
+    alphabet.check_key(w)
     if tau(w) is None:
         raise ValueError("b-powers have no quadrant tables")
     if n < 1:

@@ -299,11 +299,11 @@ def _suite_counting(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
             return False, f"#aba({text}) = {got}, want {want}"
     for probe in ("aba", "ab", "ba'"):
         v0 = parse_word(probe, alphabet)
-        for f in (count_term(v0), phi(v0)):
+        for label, f in ((f"#{probe}", count_term(v0)), (f"phi({probe})", phi(v0))):
             # The right-hand side is f itself: the oracle counts it on its own.
             v = exact_identity_check(lambda u: evaluate(f, u), f, radius, alphabet)
             if v != PASS:
-                return False, f"count mismatch for #{probe} at {word_str(v)}"
+                return False, f"count mismatch for {label} at {word_str(v)}"
     return True, f"frozen values and scan agreement on ball {radius}"
 
 
@@ -365,7 +365,8 @@ def _suite_rot(alphabet: Alphabet, radius: int) -> tuple[bool, str]:
     radii = [L for L in (4, 5, 6) if L <= radius] or [radius]
     sups = [sup_on_ball(diff, L, alphabet).sup for L in radii]
     if len(set(sups)) != 1:
-        return False, f"sup of act(Tinv, rot) - rot drifts: {sups} on radii {radii}"
+        shown = ", ".join(map(str, sups))
+        return False, f"sup of act(Tinv, rot) - rot drifts: [{shown}] on radii {radii}"
     return True, f"sup constant ({sups[0]}) on radii {radii}"
 
 

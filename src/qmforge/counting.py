@@ -33,7 +33,6 @@ from .freegroup import (
     _NAMED,
     inverse,
     is_canonical,
-    is_reduced,
     word_sort_key,
     word_str,
 )
@@ -42,9 +41,6 @@ from .freegroup import (
 class Mode(Enum):
     COUNTING = "counting"
     BROOKS = "brooks"
-
-
-Rational = Fraction
 
 
 def count_subword(v: Word, w: Word) -> int:
@@ -62,13 +58,13 @@ def count_subword(v: Word, w: Word) -> int:
 class BrooksSum:
     """A counting or Brooks sum; brooks_sum orients keys canonically, entries take either."""
 
-    weight: dict[Word, Rational]
+    weight: dict[Word, Fraction]
     mode: Mode
 
     def support(self) -> list[Word]:
         return sorted(self.weight, key=word_sort_key)
 
-    def coefficient(self, v: Word) -> Rational:
+    def coefficient(self, v: Word) -> Fraction:
         return self.weight.get(v, Fraction(0))
 
     def is_zero(self) -> bool:
@@ -85,7 +81,7 @@ class BrooksSum:
     def __sub__(self, other: "BrooksSum") -> "BrooksSum":
         return self + other.scale(Fraction(-1))
 
-    def scale(self, c: Rational | int) -> "BrooksSum":
+    def scale(self, c: Fraction | int) -> "BrooksSum":
         c = Fraction(c)
         if c == 0:
             return BrooksSum({}, self.mode)
@@ -98,17 +94,10 @@ class BrooksSum:
         return format_sum(self)
 
 
-def _check_key(v: Word) -> None:
-    if v == ():
-        raise ValueError("the identity cannot carry weight")
-    if not is_reduced(v):
-        raise ValueError(f"key {v!r} is not reduced")
-
-
 def check_sum(f: BrooksSum, alphabet: Alphabet) -> bool:
     """The contract of every entry that takes a Brooks sum: raise ValueError
-    unless f is in Brooks mode and every key is nonempty, reduced and spelled
-    in the alphabet.  Key orientation is not part of it.
+    unless f is in Brooks mode and every key passes alphabet.check_key.  Key
+    orientation is not part of it.
 
     Return whether f is also canonical, as an Accumulator builds its sums:
     every key in canonical orientation, every weight a nonzero Fraction.
@@ -117,22 +106,20 @@ def check_sum(f: BrooksSum, alphabet: Alphabet) -> bool:
         raise ValueError("expected a Brooks sum, got a counting sum")
     canonical = True
     for v, c in f.weight.items():
-        _check_key(v)
-        alphabet.check_word(v)
+        alphabet.check_key(v)
         if canonical:
             canonical = type(c) is Fraction and c.numerator != 0 and is_canonical(v)
     return canonical
 
 
-def counting_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
+def counting_sum(entries: dict[Word, Fraction | int]) -> BrooksSum:
     for v in entries:
-        _check_key(v)
-        _NAMED.check_word(v)
+        _NAMED.check_key(v)
     weight = {v: Fraction(c) for v, c in entries.items()}
     return BrooksSum({v: c for v, c in weight.items() if c != 0}, Mode.COUNTING)
 
 
-def _denominator(coefficients: Iterable[Rational | int]) -> int:
+def _denominator(coefficients: Iterable[Fraction | int]) -> int:
     """The lcm of the denominators: scaled by it, every coefficient is an integer."""
     return lcm(*{c.denominator for c in coefficients})
 
@@ -143,7 +130,7 @@ class Accumulator:
     emit pass numerators too; until as_sum() the weight may hold zeros.  Keys
     enter checked (by brooks_sum or check_sum) or built reduced: none is rechecked."""
 
-    def __init__(self, weight: dict[Word, Rational | int]) -> None:
+    def __init__(self, weight: dict[Word, Fraction | int]) -> None:
         self.den = _denominator(weight.values())
         self.weight: dict[Word, int] = {}
         for v, c in weight.items():
@@ -175,7 +162,7 @@ class Accumulator:
         return BrooksSum(out, Mode.BROOKS)
 
 
-def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
+def brooks_sum(entries: dict[Word, Fraction | int]) -> BrooksSum:
     """Brooks sum from a raw weight, re-orienting keys to canonical form.
 
     Of each pair {v, v^-1} the (length, lex)-smaller word is kept; weights of
@@ -184,8 +171,7 @@ def brooks_sum(entries: dict[Word, Rational | int]) -> BrooksSum:
     against the 26 named letters, since no alphabet is given.
     """
     for v in entries:
-        _check_key(v)
-        _NAMED.check_word(v)
+        _NAMED.check_key(v)
     return Accumulator(entries).as_sum()
 
 
@@ -214,14 +200,14 @@ def as_counting(f: BrooksSum) -> BrooksSum:
     return BrooksSum({v: c for v, c in out.items() if c != 0}, Mode.COUNTING)
 
 
-def _window_sum(weight: dict[Word, Rational], lengths: set[int], w: Word) -> Rational:
+def _window_sum(weight: dict[Word, Fraction], lengths: set[int], w: Word) -> Fraction:
     """Sum of weight[u] over the windows u of w whose length is a key length."""
     get, n = weight.get, len(w)
     hits = (get(w[i : i + k]) for k in lengths for i in range(n - k + 1))
     return sum(filter(None, hits), Fraction(0))
 
 
-def evaluate(f: BrooksSum, w: Word) -> Rational:
+def evaluate(f: BrooksSum, w: Word) -> Fraction:
     """f(w), with one weight lookup per window of w of each key length.
 
     The occurrences of v^-1 in w are those of v in w^-1, so a Brooks sum is

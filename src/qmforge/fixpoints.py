@@ -53,15 +53,12 @@ class ExclusionWitness:
 
 
 def _hom_vector(f: BrooksSum, alphabet: Alphabet) -> dict[int, Fraction]:
-    """Coefficient vector of the homomorphism part, read off generator powers."""
+    """Coefficient vector of the homomorphism part, read off generator powers.
+    f is a normal form, whose canonical keys spell each x^k with x > 0 (x < x^-1)."""
     vec = {i: Fraction(0) for i in range(1, alphabet.rank + 1)}
     for v, c in f.weight.items():
         if len(set(v)) == 1:
-            s = v[0]
-            if s > 0:
-                vec[s] += c
-            else:
-                vec[-s] -= c
+            vec[v[0]] += c
     return vec
 
 

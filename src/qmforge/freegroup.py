@@ -62,6 +62,14 @@ class Alphabet:
             if x not in self.letter_set:
                 raise ValueError(f"letter {x} is not in the alphabet of rank {self.rank}")
 
+    def check_key(self, w: Word) -> None:
+        """Every entry's word contract: w nonempty, then reduced, then spelled in this alphabet."""
+        if w == ():
+            raise ValueError("the identity cannot carry weight")
+        if not is_reduced(w):
+            raise ValueError(f"key {w!r} is not reduced")
+        self.check_word(w)
+
 
 # The 26 named letters: word_str, brooks_sum and counting_sum take no
 # alphabet, so their words are spelled in this one.

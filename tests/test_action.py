@@ -405,6 +405,33 @@ def test_every_word_entry_refuses_an_unreduced_word_under_python_O():
     assert proc.stdout.splitlines() == want * 3
 
 
+def test_nrep_names_a_letter_outside_the_alphabet_before_n():
+    """The word is checked first, letters included; n < 1 is refused after it."""
+    with pytest.raises(ValueError, match="^letter 9 is not in the alphabet of rank 2$"):
+        nrep((1, 9), 0, Alphabet(2))
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        nrep((1, 2), 0, Alphabet(2))
+
+
+def test_word_entries_refuse_a_letter_outside_the_alphabet_at_entry(monkeypatch):
+    """nrep, w1_support and support_geometry refuse the letter c at rank 2
+    before any table or letter map of T^-n is built."""
+    import qmforge.action as action
+    from qmforge.speed import support_geometry
+
+    def refuse(*args):
+        raise AssertionError("a T^-n letter map was built for an unchecked word")
+
+    monkeypatch.setattr(action, "_middle_n", refuse)
+    monkeypatch.setattr(action, "left_factors", refuse)
+    monkeypatch.setattr(action, "_left_table", refuse)
+    for call in (lambda v: nrep(v, 2, AL), lambda v: w1_support(v, AL),
+                 lambda v: support_geometry(v, 2, AL)):
+        for v in ((1, 3), (3, 2, 1), (2, 1, -3)):
+            with pytest.raises(ValueError, match="^letter -?3 is not in the alphabet of rank 2$"):
+                call(v)
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_nrep_letter_bound_holds_on_a_ball(rank):
     """left_factor_count counts left_factors' rows, and n_representative_letters

@@ -265,6 +265,7 @@ DIGITS = sys.get_int_max_str_digits()
         ("²*phi(a)", None, 0, "expected 'phi', '#' or 'rot'"),
         ("1/²*phi(a)", None, 2, "expected an integer"),
         ("٣*psi(a)", None, 2, "expected 'phi', '#' or 'rot'"),
+        ("+phi(a)", None, 0, "expected 'phi', '#' or 'rot'"),
         ("phi(e)", None, 4, "the identity cannot carry weight"),
         ("#(e)", None, 2, "the identity cannot carry weight"),
         ("phi(aa')", None, 4, "the identity cannot carry weight"),
@@ -274,7 +275,7 @@ DIGITS = sys.get_int_max_str_digits()
     ],
     ids=["empty", "no-operator", "no-term", "zero-den", "no-integer", "no-paren", "no-close",
          "env-rank", "no-star", "superscript", "superscript-den", "decimal-digit",
-         "phi-e", "count-e", "phi-aa'", "long-num", "long-den"],
+         "leading-plus", "phi-e", "count-e", "phi-aa'", "long-num", "long-den"],
 )
 def test_each_parse_error_exits_2_with_its_position(
     capsys, monkeypatch, expr, env, position, message
@@ -284,6 +285,14 @@ def test_each_parse_error_exits_2_with_its_position(
     code, out, err = run(capsys, "norm", expr)
     assert code == 2 and out == ""
     assert err == f"qmforge: syntax error at position {position}: {message}\n"
+
+
+def test_an_empty_word_argument_exits_2(capsys):
+    code, out, err = run(capsys, "eval", "phi(a)", "")
+    assert code == 2 and out == ""
+    assert err == (
+        "qmforge: syntax error at position 0: empty word literal (use 'e' for the identity)\n"
+    )
 
 
 def test_argparse_errors_exit_2(capsys):
@@ -541,6 +550,41 @@ def test_a_wrong_evaluate_fails_its_verify_suite_with_exit_4(capsys, monkeypatch
         "ok": False,
         "suites": [{"name": suite, "ok": False, "detail": line.split(": FAIL - ")[1]}],
     }
+
+
+def _verify_fails_with(capsys, suite, line):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 4 and out == line + "\n"
+
+
+def test_a_wrong_brooks_evaluate_is_named_as_phi(capsys, monkeypatch):
+    """Off by one on ab for Brooks sums only: #aba passes, and the FAIL line names phi(aba)."""
+    from qmforge.counting import Mode
+
+    real, ab = cli.evaluate, parse_word("ab", AL)
+    wrong = lambda f, v: real(f, v) + (f.mode is Mode.BROOKS and v == ab)
+    monkeypatch.setattr(cli, "evaluate", wrong)
+    _verify_fails_with(capsys, "counting", "counting: FAIL - count mismatch for phi(aba) at ab")
+
+
+def test_a_wrong_frozen_count_fails_the_counting_suite(capsys, monkeypatch):
+    real, word = cli.evaluate, parse_word("abaaa", AL)
+    monkeypatch.setattr(cli, "evaluate", lambda f, v: real(f, v) + (v == word))
+    _verify_fails_with(capsys, "counting", "counting: FAIL - #aba(abaaa) = 2, want 1")
+
+
+def test_a_wrong_unbalancedness_fails_the_norm_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_unbalanced", lambda f, alphabet: (False, None))
+    _verify_fails_with(capsys, "norm", "norm: FAIL - 5#aa-3#ab+#b should be unbalanced of norm 2")
+
+
+def test_a_drifting_rot_sup_is_printed_as_numbers(capsys, monkeypatch):
+    """act off by phi(ab) makes the sup of act(Tinv, rot) - rot grow; the FAIL
+    line lists the sups as numbers, not as Fraction reprs."""
+    real, extra = cli.act, phi(parse_word("ab", AL))
+    monkeypatch.setattr(cli, "act", lambda x, f, alphabet: real(x, f, alphabet) + extra)
+    line = "rot: FAIL - sup of act(Tinv, rot) - rot drifts: [2, 3, 3] on radii [4, 5, 6]"
+    _verify_fails_with(capsys, "rot", line)
 
 
 # -- README -----------------------------------------------------------------------------

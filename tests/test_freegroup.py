@@ -46,6 +46,27 @@ def test_free_reduce_cancels_adjacent_inverses():
     assert free_reduce([B, A, -A, -B, A]) == (A,)
 
 
+def test_free_reduce_refuses_the_zero_letter():
+    with pytest.raises(ValueError, match="^0 is not a letter$"):
+        free_reduce([1, 0])
+
+
+@pytest.mark.parametrize(
+    "key,message",
+    [
+        ((), "the identity cannot carry weight"),
+        ((1, -1, 9), r"key \(1, -1, 9\) is not reduced"),
+        ((1, 0), "letter 0 is not in the alphabet of rank 2"),
+        ((1, 2, 3), "letter 3 is not in the alphabet of rank 2"),
+    ],
+    ids=["identity", "unreduced-before-letter", "zero", "over-rank"],
+)
+def test_check_key_names_the_first_broken_part_of_the_contract(key, message):
+    """Nonempty first, then reduced, then spelled in the alphabet."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AL.check_key(key)
+
+
 def test_multiply_and_inverse_group_laws():
     rng = random.Random(7)
     words = [tuple(rng.choice([A, -A, B, -B]) for _ in range(rng.randint(0, 6))) for _ in range(40)]

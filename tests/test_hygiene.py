@@ -168,9 +168,12 @@ def _call_shapes(sources: list[str]) -> tuple[dict[str, float], set[tuple[str, O
     return most, keywords
 
 
-def _constant_defaults(source: str, sources: list[str]) -> list[str]:
-    """function.parameter for each default of source that no call in sources overrides."""
-    most, keywords = _call_shapes(sources)
+def _constant_defaults(
+    source: str, shapes: tuple[dict[str, float], set[tuple[str, Optional[str]]]]
+) -> list[str]:
+    """function.parameter for each default of source that no call of the given
+    _call_shapes overrides."""
+    most, keywords = shapes
     return [
         f"{name}.{param}"
         for name, param, position in _defaulted_parameters(source)
@@ -188,12 +191,12 @@ def test_the_check_sees_a_default_no_call_overrides():
         "def g(a=0, *, k=1): pass\n"
         "f(0, 1)\nf(0, j=5)\nC().m(1)\nC.s(2)\ng(*[1], **{'k': 2})\n"
     )
-    assert _constant_defaults(source, [source]) == ["f.z", "f.k", "m.b"]
+    assert _constant_defaults(source, _call_shapes([source])) == ["f.z", "f.k", "m.b"]
 
 
 def test_every_default_is_overridden_by_some_call():
-    sources = _project_sources()
-    constant = {path.name: _constant_defaults(path.read_text(), sources) for path in MODULES}
+    shapes = _call_shapes(_project_sources())
+    constant = {path.name: _constant_defaults(path.read_text(), shapes) for path in MODULES}
     assert {module: names for module, names in constant.items() if names} == {}
 
 

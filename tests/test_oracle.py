@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmforge.action import n_representative
-from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi
+from qmforge.counting import as_counting, brooks_sum, counting_sum, evaluate, phi, zero
 from qmforge.freegroup import Alphabet, ball, multiply, parse_word
 from qmforge.oracle import (
     PASS,
@@ -146,6 +146,13 @@ def test_empirical_equiv_detects_divergence():
     rep = empirical_equiv(f, g, AL, radii=(3, 4, 5, 6))
     assert rep.verdict is Verdict.DIVERGING
     assert all(rep.sups[i] < rep.sups[i + 1] for i in range(len(rep.sups) - 1))
+
+
+def test_empirical_equiv_is_inconclusive_on_a_sup_that_steps_once():
+    """phi(ab) against 0: the sups 1, 1, 2, 2 neither settle over the last
+    three radii nor rise at every one."""
+    rep = empirical_equiv(phi(w("ab")), zero(), AL, radii=(2, 3, 4, 5))
+    assert rep.verdict is Verdict.INCONCLUSIVE and rep.sups == (1, 1, 2, 2)
 
 
 def test_empirical_equiv_rejects_bad_radii():

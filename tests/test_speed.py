@@ -548,6 +548,18 @@ def test_empirical_speed_iterates_general_words():
     assert len(series.samples) == 2
 
 
+def test_empirical_speed_tags_an_uncertified_length_as_upper():
+    """phi(ab) - phi(ba) has norm 2 and no length certificate, and P1*P1 is the
+    identity, so both samples are UPPER bounds of length 2."""
+    from qmforge.action import NielsenWord
+
+    series = empirical_speed(phi(w("ab")) - phi(w("ba")), NielsenWord.parse("P1*P1"), 2, AL)
+    assert [(s.n, s.length, s.tag) for s in series.samples] == [
+        (1, 2, BoundTag.UPPER),
+        (2, 2, BoundTag.UPPER),
+    ]
+
+
 def _n_representative_lengths(f, n_max, alphabet):
     """The gauge of T^-1 read off the explicit n-representatives, as
     (length, tag) per n: the reference that act's iteration must match."""
